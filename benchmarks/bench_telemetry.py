@@ -1,22 +1,26 @@
-"""Telemetry overhead + soak benchmark for the service daemon.
+"""Per-job trace overhead gate + trace-registry soak for the service.
 
-Measures what PR 7's always-on telemetry costs: two daemons, identical
-except ``telemetry=`` on/off, are kept alive side by side and warm
-forced re-runs alternate between them in paired rounds, so scheduler
-drift hits both arms equally.  The comparison uses the per-arm *minimum*
-warm latency -- OS noise on a warm job is strictly additive, so the
-min isolates the intrinsic cost; the enabled arm must stay within
-``--max-overhead`` (default 5%) of the disabled baseline.
-On top of that it soaks the
-telemetry daemon with ``--soak`` jobs (default 50) and verifies the
-flat-memory guarantees: bounded per-job tracer registry, plateaued
-retained-span count, ring-buffer series that never exceed their
-capacity, live SLO verdicts, and a Perfetto-valid ``/jobs/<id>/trace``
-whose stage spans match that job's journal.
+Every daemon job runs under its own scoped span tracer (ring bounded,
+mirrored into the job's journal).  This measures what that costs: warm
+re-runs of one job body -- :func:`repro.service.execute_job` on a
+shared, already-filled artifact cache -- alternate in paired rounds
+between an arm with no tracer scope and an arm under
+``trace.scoped(Tracer(journal=..., max_spans=..., trace_id=...))``,
+exactly the tracer the daemon scopes onto its worker threads.  Which
+arm goes first flips every round, so scheduler drift hits both
+equally.  The comparison uses the per-arm *minimum* warm latency -- OS
+noise on a warm job is strictly additive, so the min isolates the
+intrinsic cost; the traced arm must stay within ``--max-overhead``
+(default 5%) of the untraced one.
 
-Writes ``BENCH_telemetry.json`` plus the dashboard HTML, a
-``/timeseries`` snapshot and one job trace into the output directory,
-the way the ``telemetry-smoke`` CI job uploads them.
+It then soaks a daemon with ``--soak`` jobs (default 50) and verifies
+the flat-memory guarantees of its per-job trace LRU: at most
+``max_traces`` jobs retained, evictions counted, a plateaued
+retained-span count, and a Perfetto-valid ``/jobs/<id>/trace`` whose
+stage spans match that job's journal.
+
+Writes ``BENCH_telemetry.json`` and the fetched job trace
+(``job_trace.json``) into the output directory.
 
 Run directly (not collected by pytest)::
 
@@ -37,23 +41,28 @@ import statistics
 import sys
 import tempfile
 import time
+import uuid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro.engine import ArtifactCache, FlowEngine, RunJournal  # noqa: E402
 from repro.engine import read_journal  # noqa: E402
+from repro.liberty import core9_hs  # noqa: E402
 from repro.obs import bench as obs_bench  # noqa: E402
+from repro.obs import trace  # noqa: E402
 from repro.service import (  # noqa: E402
     JobSpec,
     ServiceClient,
     ServiceDaemon,
+    execute_job,
     make_server,
 )
 
-# A/B arm: the reduced DLX fixture.  Its ~40 ms warm latency is large
-# enough that a 5% bound (~2 ms) sits well above both the measured
-# telemetry cost (~0.2 ms/job) and per-sample scheduler noise; the
-# original counter design (~5 ms warm) drowned the signal in noise.
+# A/B arm: the reduced DLX fixture.  Its ~40 ms warm latency keeps a
+# 5% bound (~2 ms) well clear of the tracing cost of a warm job's
+# handful of spans; the counter design (~5 ms warm) drowns the signal
+# in scheduler noise.
 AB_SPEC = {
     "design": "dlx",
     "params": {"registers": 8, "multiplier": False, "width": 16},
@@ -61,66 +70,75 @@ AB_SPEC = {
 # soak arm: the cheapest design, so 50 sequential jobs stay fast
 SOAK_SPEC = {"design": "counter", "params": {"width": 8}}
 MAX_OVERHEAD_PCT = 5.0
+# paired rounds: on a shared 2-vCPU host the per-arm min of 30 rounds
+# read anywhere from -5% to +26% run to run, 100 rounds within +-3%
+WARM_ROUNDS = 100
+#: per-job span retention, as the daemon defaults it
+MAX_TRACE_SPANS = 5000
+#: the soak's LRU bound: small, so most of its jobs get evicted
+SOAK_MAX_TRACES = 16
 
 
-def _timed_job(client: ServiceClient, spec: dict) -> float:
+def _timed_job(spec: JobSpec, library, cache, run_dir: str,
+               traced: bool) -> float:
+    """One job body the way a daemon worker runs it; returns wall s."""
+    trace_id = uuid.uuid4().hex[:16]
+    journal = RunJournal(
+        os.path.join(run_dir, f"{trace_id}.jsonl"), trace_id=trace_id
+    )
+    tracer = (
+        trace.Tracer(
+            journal=journal, max_spans=MAX_TRACE_SPANS, trace_id=trace_id
+        )
+        if traced
+        else None
+    )
     start = time.perf_counter()
-    ticket = client.submit(dict(spec), reuse=False)
-    status = client.wait(ticket["id"], timeout=600.0, poll=0.002)
+    with trace.scoped(tracer):
+        execute_job(spec, library, FlowEngine(cache=cache, journal=journal))
     wall = time.perf_counter() - start
-    if status["state"] != "done":
-        raise SystemExit(f"job failed: {status.get('error')}")
+    journal.close()
     return wall
 
 
 def measure_overhead(warm_jobs: int) -> dict:
-    """Paired warm-job A/B between a telemetry-off and -on daemon.
+    """Paired warm-job A/B: no tracer scope vs a per-job tracer.
 
-    Both daemons live for the whole measurement and rounds alternate
-    off/on, so load spikes land on both arms.  Each arm is summarized
-    by its minimum warm latency (noise is additive; the min is the
-    intrinsic cost).
+    Both arms share one library and one filled cache; rounds alternate
+    which arm runs first.  Each arm is summarized by its minimum warm
+    latency (noise is additive; the min is the intrinsic cost).
     """
-    arms = {}
-    for telemetry in (False, True):
-        run_dir = tempfile.mkdtemp(prefix="repro-telemetry-bench-")
-        daemon = ServiceDaemon(
-            run_dir=run_dir, workers=1, telemetry=telemetry
-        )
-        server = make_server(daemon).start_background()
-        arms[telemetry] = {
-            "run_dir": run_dir,
-            "daemon": daemon,
-            "server": server,
-            "client": ServiceClient(server.url, timeout=60.0),
-            "warm": [],
-        }
+    run_dir = tempfile.mkdtemp(prefix="repro-trace-bench-")
     try:
-        cold = {
-            t: _timed_job(arms[t]["client"], AB_SPEC) for t in (False, True)
-        }
-        for _ in range(warm_jobs):
-            for telemetry in (False, True):
-                arm = arms[telemetry]
-                arm["warm"].append(_timed_job(arm["client"], AB_SPEC))
+        spec = JobSpec.from_dict(dict(AB_SPEC))
+        library = core9_hs()
+        cache = ArtifactCache(os.path.join(run_dir, "cache"))
+        cold = _timed_job(spec, library, cache, run_dir, traced=False)
+        warm = {False: [], True: []}
+        for round_index in range(warm_jobs):
+            order = (False, True) if round_index % 2 == 0 else (True, False)
+            for traced in order:
+                warm[traced].append(
+                    _timed_job(spec, library, cache, run_dir, traced)
+                )
     finally:
-        for arm in arms.values():
-            arm["server"].stop()
-            arm["daemon"].close(timeout=30.0)
-            shutil.rmtree(arm["run_dir"], ignore_errors=True)
+        shutil.rmtree(run_dir, ignore_errors=True)
 
-    def summary(telemetry: bool) -> dict:
-        warm = arms[telemetry]["warm"]
+    def summary(traced: bool) -> dict:
+        samples = warm[traced]
         return {
-            "telemetry": telemetry,
-            "cold_s": round(cold[telemetry], 6),
-            "warm_min_s": round(min(warm), 6),
-            "warm_median_s": round(statistics.median(warm), 6),
-            "warm_mean_s": round(statistics.fmean(warm), 6),
+            "traced": traced,
+            "warm_min_s": round(min(samples), 6),
+            "warm_median_s": round(statistics.median(samples), 6),
+            "warm_mean_s": round(statistics.fmean(samples), 6),
             "warm_jobs": warm_jobs,
         }
 
-    return {"baseline": summary(False), "enabled": summary(True)}
+    return {
+        "cold_s": round(cold, 6),
+        "baseline": summary(False),
+        "enabled": summary(True),
+    }
 
 
 def validate_trace(document: dict, journal_path: str) -> list:
@@ -158,13 +176,12 @@ def validate_trace(document: dict, journal_path: str) -> list:
 
 
 def soak(out_dir: str, jobs: int) -> dict:
-    """Soak one telemetry daemon and snapshot its HTTP surfaces."""
-    run_dir = tempfile.mkdtemp(prefix="repro-telemetry-soak-")
+    """Soak one daemon and check its per-job trace LRU stays bounded."""
+    run_dir = tempfile.mkdtemp(prefix="repro-trace-soak-")
     daemon = ServiceDaemon(
         run_dir=run_dir,
         workers=1,
-        timeseries_interval=0.1,
-        max_traces=16,
+        max_traces=SOAK_MAX_TRACES,
         max_trace_spans=500,
     )
     server = make_server(daemon).start_background()
@@ -176,59 +193,36 @@ def soak(out_dir: str, jobs: int) -> dict:
         for _ in range(jobs):
             last_ticket = client.submit(dict(SOAK_SPEC), reuse=False)
             client.wait(last_ticket["id"], timeout=600.0, poll=0.002)
-            span_counts.append(daemon.telemetry.span_count())
+            span_counts.append(daemon.trace_retention()["spans"])
 
-        if daemon.telemetry.trace_count() > 16:
-            problems.append("tracer registry exceeded max_traces")
+        retention = daemon.trace_retention()
+        if retention["jobs"] > SOAK_MAX_TRACES:
+            problems.append("trace LRU exceeded max_traces")
+        if retention["evicted"] != max(0, jobs - SOAK_MAX_TRACES):
+            problems.append(
+                f"{retention['evicted']} evictions counted for {jobs} "
+                f"jobs over a bound of {SOAK_MAX_TRACES}"
+            )
         if max(span_counts[-5:]) > max(span_counts[: jobs // 2]):
             problems.append(
                 f"retained spans still growing: {span_counts[-5:]} vs "
                 f"first-half max {max(span_counts[:jobs // 2])}"
             )
 
-        time.sleep(0.3)  # a few sampler ticks
-        series = client.timeseries()
-        if not series["series"]:
-            problems.append("/timeseries returned no series")
-        for name, entry in series["series"].items():
-            if len(entry["points"]) > series["capacity"]:
-                problems.append(f"series {name} exceeded ring capacity")
-
-        health = client.health()
-        slos = health.get("slos", {})
-        if not slos.get("objectives"):
-            problems.append("/health carries no SLO verdicts")
-
         trace_doc = client.trace(last_ticket["id"])
         problems += validate_trace(
             trace_doc, daemon.job_journal_path(last_ticket["id"])
         )
-
-        html = client.dashboard()
-        if "<!DOCTYPE html>" not in html or "sparkline" not in html:
-            problems.append("/dashboard payload does not look like the UI")
-
-        with open(os.path.join(out_dir, "dashboard.html"), "w") as handle:
-            handle.write(html)
-        with open(os.path.join(out_dir, "timeseries.json"), "w") as handle:
-            json.dump(series, handle, indent=2, sort_keys=True)
-            handle.write("\n")
         with open(os.path.join(out_dir, "job_trace.json"), "w") as handle:
             json.dump(trace_doc, handle, indent=1)
             handle.write("\n")
 
         return {
             "jobs": jobs,
-            "retained_traces": daemon.telemetry.trace_count(),
-            "evicted_traces": daemon.telemetry.evicted_traces,
+            "retained_traces": retention["jobs"],
+            "evicted_traces": retention["evicted"],
             "retained_spans_final": span_counts[-1],
             "retained_spans_peak": max(span_counts),
-            "series_count": len(series["series"]),
-            "timeseries_samples": series["samples"],
-            "slo_status": slos.get("status"),
-            "slos": {
-                o["name"]: o["status"] for o in slos.get("objectives", [])
-            },
             "trace_events": len(trace_doc.get("traceEvents", [])),
             "problems": problems,
         }
@@ -247,9 +241,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--max-overhead", type=float, default=MAX_OVERHEAD_PCT,
-        help="max warm-job slowdown with telemetry on, in percent",
+        help="max warm-job slowdown under a per-job tracer, in percent",
     )
-    parser.add_argument("--warm-jobs", type=int, default=30)
+    parser.add_argument("--warm-jobs", type=int, default=WARM_ROUNDS)
     parser.add_argument("--soak", type=int, default=50)
     parser.add_argument(
         "--history",
@@ -259,18 +253,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    # paired A/B: each daemon owns a fresh cache + run dir, warm jobs
-    # alternate between the two live daemons
     for spec in (AB_SPEC, SOAK_SPEC):
         JobSpec(**spec).validate()
     measured = measure_overhead(warm_jobs=args.warm_jobs)
     baseline, enabled = measured["baseline"], measured["enabled"]
     print(
-        f"telemetry off: warm min {baseline['warm_min_s'] * 1e3:.2f} ms "
+        f"untraced: warm min {baseline['warm_min_s'] * 1e3:.2f} ms "
         f"(median {baseline['warm_median_s'] * 1e3:.2f} ms)"
     )
     print(
-        f"telemetry on:  warm min {enabled['warm_min_s'] * 1e3:.2f} ms "
+        f"traced:   warm min {enabled['warm_min_s'] * 1e3:.2f} ms "
         f"(median {enabled['warm_median_s'] * 1e3:.2f} ms)"
     )
     overhead_pct = (
@@ -278,21 +270,21 @@ def main(argv=None) -> int:
         / baseline["warm_min_s"]
         * 100.0
     )
-    print(f"telemetry overhead: {overhead_pct:+.2f}% (warm min)")
+    print(f"per-job trace overhead: {overhead_pct:+.2f}% (warm min)")
 
     print(f"soaking {args.soak} sequential jobs ...")
     soak_result = soak(args.out_dir, args.soak)
     print(
         f"soak: {soak_result['retained_traces']} tracers retained, "
-        f"{soak_result['retained_spans_final']} spans, "
-        f"{soak_result['series_count']} series, "
-        f"SLO status {soak_result['slo_status']!r}"
+        f"{soak_result['evicted_traces']} evicted, "
+        f"{soak_result['retained_spans_final']} spans"
     )
 
     payload = {
         "bench": "telemetry",
         "design": AB_SPEC,
         "soak_design": SOAK_SPEC,
+        "cold_s": measured["cold_s"],
         "baseline": baseline,
         "enabled": enabled,
         "overhead_pct": round(overhead_pct, 3),
@@ -325,7 +317,7 @@ def main(argv=None) -> int:
     failures = list(soak_result["problems"])
     if not report.ok:
         failures.append(
-            f"telemetry overhead {overhead_pct:.2f}% exceeds "
+            f"per-job trace overhead {overhead_pct:.2f}% exceeds "
             f"{args.max_overhead}%"
         )
     if failures:

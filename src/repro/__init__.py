@@ -21,7 +21,7 @@ Quick start::
     print(result.export_sdc())
 """
 
-__version__ = "1.9.0"
+__version__ = "1.11.0"
 
 from . import obs  # noqa: F401
 from . import netlist  # noqa: F401

@@ -463,7 +463,7 @@ def diff_networks(
     flow kept the cached structure) or ``"resized"`` (the edit moved a
     region's critical path across a ladder step, or changed its
     controller complement).  Regions absent from ``old`` are
-    ``"new"``.  Drives the ``flow.incr.*`` dashboard counters.
+    ``"new"``.  Drives the ``flow.incr.*`` counters served on ``/metrics``.
     """
     out: Dict[str, str] = {}
     old_regions = {region for region, _role in old.controllers}

@@ -26,7 +26,7 @@ near-zero-cost in that state; the CLI's ``--trace`` / ``--metrics`` /
     write_profile("profile-out")          # open in speedscope.app
 """
 
-from . import bench, export, logsetup, metrics, prof, timeseries, trace, vcd
+from . import bench, export, logsetup, metrics, prof, trace, vcd
 from .bench import BenchResult, check_regression, machine_metadata
 from .export import (
     aggregate_spans,
@@ -48,12 +48,6 @@ from .export import (
 from .logsetup import configure_logging, get_logger
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NS_BUCKETS
 from .prof import Profiler, StageProfile
-from .timeseries import (
-    RingBuffer,
-    TimeSeriesSampler,
-    TimeSeriesStore,
-    quantile_from_buckets,
-)
 from .trace import NULL_SPAN, Span, Tracer
 from .vcd import VcdWriter, read_vcd
 
@@ -66,11 +60,8 @@ __all__ = [
     "NS_BUCKETS",
     "NULL_SPAN",
     "Profiler",
-    "RingBuffer",
     "Span",
     "StageProfile",
-    "TimeSeriesSampler",
-    "TimeSeriesStore",
     "Tracer",
     "VcdWriter",
     "aggregate_spans",
@@ -90,11 +81,9 @@ __all__ = [
     "profile_document",
     "profile_report",
     "prometheus_text",
-    "quantile_from_buckets",
     "read_vcd",
     "speedscope_document",
     "summary_report",
-    "timeseries",
     "trace",
     "trace_document",
     "vcd",

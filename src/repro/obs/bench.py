@@ -28,7 +28,7 @@ CI ``perf-gate`` job go through.  It has two modes per metric:
   runner; the band adapts to how noisy each metric actually is.
 
 Absolute floors and ceilings (the MC kernel's 8x, the incremental
-flow's 20x, the service warm hit's 5x, telemetry's 5% overhead) are
+flow's 20x, the service warm hit's 5x, per-job tracing's 5% overhead) are
 preserved verbatim in both modes -- a statistical band never excuses
 dropping below a hard requirement.
 
@@ -436,7 +436,7 @@ def baseline_metrics(payload: Dict[str, Any]) -> Dict[str, float]:
 # the ``repro bench`` CLI verb
 # ----------------------------------------------------------------------
 def _sparkline_svg(values: Sequence[float], width: int = 160, height: int = 36) -> str:
-    """Inline SVG polyline (same idiom as the service dashboard)."""
+    """Inline SVG polyline of one metric's history for the trend report."""
     if not values:
         return "<svg/>"
     low = min(values)

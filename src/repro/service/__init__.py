@@ -44,7 +44,6 @@ from .jobs import (
 )
 from .queue import Job, JobQueue, JobState, QueueClosed, QueueFull
 from .server import ServiceServer, make_server
-from .telemetry import SLO, TelemetryHub, default_slos, parse_slo
 
 __all__ = [
     "Job",
@@ -54,20 +53,16 @@ __all__ = [
     "JobState",
     "QueueClosed",
     "QueueFull",
-    "SLO",
     "ServiceClient",
     "ServiceClientError",
     "ServiceDaemon",
     "ServiceServer",
-    "TelemetryHub",
-    "default_slos",
     "execute_job",
     "job_key",
     "known_designs",
     "make_server",
     "options_from_dict",
     "options_to_dict",
-    "parse_slo",
     "resolve_module",
     "result_payload",
 ]

@@ -4,9 +4,7 @@
 
     repro serve  [--host H] [--port P] [--run-dir DIR] [--workers N]
                  [--flow-jobs N] [--max-pending N] [--cache-max-mb MB]
-                 [--slo SPEC ...] [--timeseries-interval S]
-                 [--timeseries-capacity N] [--max-trace-spans N]
-                 [--no-telemetry] [--log-level LEVEL]
+                 [--max-trace-spans N] [--log-level LEVEL]
     repro submit DESIGN [--url URL] [--param k=v ...] [--option k=v ...]
                  [--library hs|ll] [--top NAME] [--priority N]
                  [--timeout S] [--profile] [--no-reuse] [--wait]
@@ -20,6 +18,8 @@
 ``submit DESIGN`` takes either a known generator name (``dlx``,
 ``pipeline3``, ...) or a path to a gate-level Verilog file.  Exit
 codes match the main CLI: 0 ok, 1 usage, 2 flow/transport error.
+``serve`` drains in-flight jobs and exits 0 on SIGTERM/SIGINT or a
+``shutdown`` request.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
+import threading
 from typing import Any, Dict, List, Optional
 
 from ..obs import configure_logging
@@ -84,29 +86,8 @@ def build_service_parser() -> argparse.ArgumentParser:
         help="LRU-evict the shared artifact cache above this size",
     )
     serve.add_argument(
-        "--slo", action="append", default=[], metavar="SPEC",
-        help=(
-            "service level objective, repeatable; "
-            "NAME:SERIES<=VALUE[@TARGET][/WINDOW_S], e.g. "
-            "latency:service.job.latency_s.p95<=5.0@0.95/600 "
-            "(replaces the built-in defaults)"
-        ),
-    )
-    serve.add_argument(
-        "--timeseries-interval", type=float, default=2.0,
-        help="seconds between time-series samples (default 2.0)",
-    )
-    serve.add_argument(
-        "--timeseries-capacity", type=int, default=600,
-        help="ring-buffer points kept per series (default 600)",
-    )
-    serve.add_argument(
         "--max-trace-spans", type=int, default=5000,
         help="spans retained per job trace before dropping (default 5000)",
-    )
-    serve.add_argument(
-        "--no-telemetry", action="store_true",
-        help="disable tracing, time series, SLOs and the dashboard",
     )
     serve.add_argument(
         "--log-level",
@@ -197,7 +178,6 @@ def build_service_parser() -> argparse.ArgumentParser:
 def _cmd_serve(args) -> int:
     from .daemon import ServiceDaemon
     from .server import make_server
-    from .telemetry import parse_slo
 
     configure_logging(args.log_level, stream=sys.stdout)
     cache_max_bytes = (
@@ -205,21 +185,26 @@ def _cmd_serve(args) -> int:
         if args.cache_max_mb is not None
         else None
     )
-    slos = [parse_slo(spec) for spec in args.slo] or None
     daemon = ServiceDaemon(
         run_dir=args.run_dir,
         workers=args.workers,
         flow_jobs=args.flow_jobs,
         max_pending=args.max_pending,
         cache_max_bytes=cache_max_bytes,
-        telemetry=not args.no_telemetry,
-        timeseries_interval=args.timeseries_interval,
-        timeseries_capacity=args.timeseries_capacity,
-        slos=slos,
         max_trace_spans=args.max_trace_spans,
     )
     server = make_server(daemon, host=args.host, port=args.port)
-    daemon.install_signal_handlers(server)
+
+    def drain_on_signal(signum, _frame):
+        # serve_forever() runs on this thread, and server.shutdown()
+        # blocks until it returns: drain from a helper thread
+        log.info("signal %d: graceful drain", signum)
+        threading.Thread(
+            target=server.initiate_shutdown, daemon=True
+        ).start()
+
+    signal.signal(signal.SIGTERM, drain_on_signal)
+    signal.signal(signal.SIGINT, drain_on_signal)
     log.info(
         "serving on %s (run dir %s, %d workers); SIGTERM drains",
         server.url,

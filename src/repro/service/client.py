@@ -100,10 +100,6 @@ class ServiceClient:
     def health(self) -> Dict[str, Any]:
         return self._request("GET", "/health")
 
-    def timeseries(self) -> Dict[str, Any]:
-        """Ring-buffer series snapshot (``GET /timeseries``)."""
-        return self._request("GET", "/timeseries")
-
     def trace(self, job_id: str) -> Dict[str, Any]:
         """A job's Perfetto-loadable trace document."""
         return self._request("GET", f"/jobs/{job_id}/trace")
@@ -111,21 +107,6 @@ class ServiceClient:
     def profile(self, job_id: str) -> Dict[str, Any]:
         """A profiled job's per-stage hot tables + speedscope doc."""
         return self._request("GET", f"/jobs/{job_id}/profile")
-
-    def dashboard(self) -> str:
-        """The live dashboard HTML (``GET /dashboard``)."""
-        request = Request(self.base_url + "/dashboard", method="GET")
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode()
-        except HTTPError as error:
-            raise ServiceClientError(
-                error.code, f"GET /dashboard -> {error.code}"
-            ) from error
-        except (URLError, OSError) as error:
-            raise ServiceClientError(
-                None, f"GET /dashboard unreachable: {error}"
-            ) from error
 
     def shutdown(self) -> Dict[str, Any]:
         return self._request("POST", "/shutdown")

@@ -11,31 +11,27 @@ One :class:`ServiceDaemon` owns
   size-capped and advisory-locked, see DESIGN.md);
 - per-job JSONL journals (``<run_dir>/jobs/<id>.jsonl``, append mode)
   plus a daemon-level journal of submissions and settlements;
-- a metrics registry re-exported over ``/metrics``: jobs by state,
-  queue depth, cache hit rate, per-stage latency histograms;
-- a :class:`~repro.service.telemetry.TelemetryHub`: every job gets a
-  trace ID and its own span tracer (scoped to the worker thread, ring
-  bounded, exported over ``GET /jobs/<id>/trace``), a background
-  sampler folds the registry into ring-buffer time series
-  (``GET /timeseries``), declarative SLOs report burn-rate status in
-  ``/health``, and ``GET /dashboard`` serves the live view.
+- a metrics registry re-exported over ``/metrics`` (JSON, or the
+  Prometheus text exposition): jobs by state, queue depth, cache hit
+  rate, per-stage latency histograms;
+- per-job trace correlation: every job gets a trace ID and its own
+  span tracer (scoped to the worker thread, ring bounded, exported
+  over ``GET /jobs/<id>/trace``), plus a profiler for ``profile``
+  jobs; both are retained in one LRU bounded by ``max_traces``.
 
 Lifecycle: jobs that raise are settled ``failed`` without touching the
 daemon (crash isolation); :meth:`drain` stops intake and waits for
-in-flight flows; :meth:`install_signal_handlers` maps SIGTERM/SIGINT
-onto a graceful drain-then-stop.
+in-flight flows; :meth:`close` drains and stops the workers.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import signal
 import threading
-import time
 import uuid
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.cache import ArtifactCache
 from ..engine.executor import FlowEngine
@@ -45,9 +41,10 @@ from ..obs import prof as prof_mod
 from ..obs import trace as trace_mod
 from ..obs.export import profile_document, trace_document
 from ..obs.metrics import MetricsRegistry
+from ..obs.prof import Profiler
+from ..obs.trace import Tracer
 from .jobs import JobSpec, execute_job, job_key, result_payload
 from .queue import Job, JobQueue, JobState, QueueClosed, QueueFull
-from .telemetry import SLO, TelemetryHub, dashboard_html
 
 log = logging.getLogger("repro.service")
 
@@ -91,10 +88,6 @@ class ServiceDaemon:
         max_pending: Optional[int] = 256,
         cache_max_bytes: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        telemetry: bool = True,
-        timeseries_interval: float = 2.0,
-        timeseries_capacity: int = 600,
-        slos: Optional[Sequence[SLO]] = None,
         max_trace_spans: int = 5000,
         max_traces: int = 256,
         max_profile_stages: int = 512,
@@ -110,9 +103,9 @@ class ServiceDaemon:
         self.registry = registry or MetricsRegistry()
         for name, help_text in _METRIC_HELP.items():
             self.registry.describe(name, help_text)
-        # pre-create the settle counters so their rate series exist
-        # (at 0.0) from the first sample -- an SLO over a counter that
-        # is never incremented should read "ok", not "no_data"
+        # pre-create the settle counters so /metrics exposes them at 0
+        # from the start: a scraper's rate() over a counter that is
+        # never incremented then reads 0 instead of a missing series
         for state in ("done", "failed", "cancelled"):
             self.registry.counter(f"service.jobs.{state}")
         self._previous_registry: Optional[MetricsRegistry] = None
@@ -129,18 +122,14 @@ class ServiceDaemon:
         # rebuilt from the job chain on demand)
         self._sessions: "OrderedDict[str, Any]" = OrderedDict()
         self._session_cap = max(1, int(eco_sessions))
-        self.telemetry: Optional[TelemetryHub] = None
-        if telemetry:
-            self.telemetry = TelemetryHub(
-                self.registry,
-                interval=timeseries_interval,
-                capacity=timeseries_capacity,
-                slos=slos,
-                max_traces=max_traces,
-                max_trace_spans=max_trace_spans,
-                max_profile_stages=max_profile_stages,
-                hook=self._sample_hook,
-            )
+        # per-job observability: job id -> (tracer, profiler or None),
+        # newest last; one LRU bounded by ``max_traces`` so a daemon
+        # fielding jobs forever stays flat in memory
+        self._job_observers: "OrderedDict[str, tuple]" = OrderedDict()
+        self._max_traces = max(1, int(max_traces))
+        self._max_trace_spans = max_trace_spans
+        self._max_profile_stages = max_profile_stages
+        self._evicted_traces = 0
         self.queue = JobQueue(
             workers=workers,
             max_pending=max_pending,
@@ -151,8 +140,6 @@ class ServiceDaemon:
         # cache hits and stage counters too
         self._previous_registry = metrics_mod.get_registry()
         metrics_mod.set_registry(self.registry)
-        if self.telemetry is not None:
-            self.telemetry.start()
         self.journal.record(
             "daemon_start",
             run_dir=self.run_dir,
@@ -160,7 +147,6 @@ class ServiceDaemon:
             flow_jobs=self.flow_jobs,
             cache_dir=self.cache.directory,
             cache_max_bytes=cache_max_bytes,
-            telemetry=telemetry,
         )
 
     # -- library + journal plumbing ------------------------------------
@@ -280,20 +266,22 @@ class ServiceDaemon:
         journal = RunJournal(
             self.job_journal_path(job_id), append=True, trace_id=trace_id
         )
-        tracer = None
-        if self.telemetry is not None:
-            tracer = self.telemetry.job_tracer(
-                job_id, trace_id, journal=journal
-            )
+        tracer = Tracer(
+            journal=journal,
+            max_spans=self._max_trace_spans,
+            trace_id=trace_id,
+        )
         # --profile jobs get a per-job profiler scoped to this worker
-        # thread (and re-scoped onto engine pool threads), retained in
-        # the hub's bounded registry for GET /jobs/<id>/profile
+        # thread (and re-scoped onto engine pool threads)
         profiler = None
-        if spec.profile and self.telemetry is not None:
-            profiler = self.telemetry.job_profiler(
-                job_id, profile_id=trace_id
+        if spec.profile:
+            profiler = Profiler(
+                enabled=True,
+                max_profiles=self._max_profile_stages,
+                profile_id=trace_id,
             )
             self.registry.counter("service.profiles.captured").inc()
+        self._retain(job_id, tracer, profiler)
         engine = FlowEngine(
             cache=self.cache, journal=journal, jobs=self.flow_jobs
         )
@@ -324,7 +312,7 @@ class ServiceDaemon:
             payload["trace_id"] = trace_id
             return payload
         finally:
-            if tracer is not None and tracer.dropped:
+            if tracer.dropped:
                 self.registry.counter(
                     "service.trace.spans_dropped"
                 ).inc(tracer.dropped)
@@ -439,18 +427,32 @@ class ServiceDaemon:
                 "repro.jobs", labels={"state": state.value}
             ).set(counts[state.value])
 
-    def _sample_hook(self, store, now: float) -> None:
-        """Pre-sample gauge refresh run by the time-series sampler."""
-        self._observe_queue()
-        self.registry.gauge("service.cache.hit_rate").set(
-            self.cache.stats.as_dict()["hit_rate"]
-        )
-        if self.telemetry is not None:
-            store.record(
-                "service.trace.retained_spans",
-                self.telemetry.span_count(),
-                ts=now,
-            )
+    # -- per-job tracer/profiler retention -----------------------------
+    def _retain(
+        self, job_id: str, tracer: Tracer, profiler: Optional[Profiler]
+    ) -> None:
+        with self._lock:
+            self._job_observers[job_id] = (tracer, profiler)
+            while len(self._job_observers) > self._max_traces:
+                self._job_observers.popitem(last=False)
+                self._evicted_traces += 1
+
+    def _retained(
+        self, job_id: str
+    ) -> Tuple[Optional[Tracer], Optional[Profiler]]:
+        with self._lock:
+            return self._job_observers.get(job_id, (None, None))
+
+    def trace_retention(self) -> Dict[str, int]:
+        """Occupancy of the per-job LRU: jobs, spans and evictions."""
+        with self._lock:
+            tracers = [tracer for tracer, _ in self._job_observers.values()]
+            evicted = self._evicted_traces
+        return {
+            "jobs": len(tracers),
+            "spans": sum(len(tracer) for tracer in tracers),
+            "evicted": evicted,
+        }
 
     # -- inspection ----------------------------------------------------
     def job_status(self, job_id: str) -> Dict[str, Any]:
@@ -475,14 +477,10 @@ class ServiceDaemon:
         }
         # bounded-retention honesty: how many spans the job's ring
         # buffer clipped, and whether a profile is retained to fetch
-        status["profiled"] = False
-        if self.telemetry is not None:
-            tracer = self.telemetry.get_tracer(job_id)
-            if tracer is not None and tracer.dropped:
-                status["trace_dropped"] = tracer.dropped
-            status["profiled"] = (
-                self.telemetry.get_profiler(job_id) is not None
-            )
+        tracer, profiler = self._retained(job_id)
+        if tracer is not None and tracer.dropped:
+            status["trace_dropped"] = tracer.dropped
+        status["profiled"] = profiler is not None
         if job.state is JobState.DONE and isinstance(job.result, dict):
             status["stages"] = job.result.get("stages")
         return status
@@ -523,48 +521,26 @@ class ServiceDaemon:
         }
 
     def health(self) -> Dict[str, Any]:
-        counts = self.queue.counts()
-        payload: Dict[str, Any] = {
-            "status": "draining" if not self.queue.accepting else "ok",
-            "jobs": counts,
-        }
-        if self.telemetry is not None:
-            payload["slos"] = self.telemetry.evaluate_slos(time.time())
-            if (
-                payload["status"] == "ok"
-                and payload["slos"]["status"] == "breach"
-            ):
-                payload["status"] = "degraded"
-        return payload
-
-    def timeseries_snapshot(self) -> Dict[str, Any]:
-        """The ``/timeseries`` document (404s upstream when disabled)."""
-        if self.telemetry is None:
-            raise LookupError("telemetry is disabled on this daemon")
         return {
-            "interval_s": self.telemetry.interval,
-            **self.telemetry.store.as_dict(),
+            "status": "draining" if not self.queue.accepting else "ok",
+            "jobs": self.queue.counts(),
         }
 
     def job_trace(self, job_id: str) -> Dict[str, Any]:
         """One job's spans as a Perfetto-loadable trace document.
 
         Raises ``KeyError`` for an unknown job and ``LookupError`` when
-        no trace is retained (telemetry off, job still queued, or the
-        tracer aged out of the bounded registry).
+        no trace is retained (job still queued, or the tracer aged out
+        of the bounded LRU).
         """
         job = self.queue.get(job_id)
         if job is None:
             raise KeyError(job_id)
-        tracer = (
-            self.telemetry.get_tracer(job_id)
-            if self.telemetry is not None
-            else None
-        )
+        tracer, _ = self._retained(job_id)
         if tracer is None:
             raise LookupError(
                 f"no trace retained for job {job_id} "
-                "(telemetry disabled, job not started, or trace evicted)"
+                "(job not started, or trace evicted)"
             )
         document = trace_document(tracer)
         document["otherData"].update(
@@ -578,18 +554,13 @@ class ServiceDaemon:
         """One job's captured profile: hot tables plus speedscope.
 
         Raises ``KeyError`` for an unknown job and ``LookupError`` when
-        no profile is retained (job not submitted with ``profile``,
-        telemetry off, or the profiler aged out of the bounded
-        registry).
+        no profile is retained (job not submitted with ``profile``, or
+        the profiler aged out of the bounded LRU).
         """
         job = self.queue.get(job_id)
         if job is None:
             raise KeyError(job_id)
-        profiler = (
-            self.telemetry.get_profiler(job_id)
-            if self.telemetry is not None
-            else None
-        )
+        _, profiler = self._retained(job_id)
         if profiler is None:
             raise LookupError(
                 f"no profile retained for job {job_id} (submit with "
@@ -603,12 +574,6 @@ class ServiceDaemon:
             trace_id=job.meta.get("trace_id"),
         )
         return document
-
-    def dashboard_page(self) -> str:
-        if self.telemetry is None:
-            raise LookupError("telemetry is disabled on this daemon")
-        poll_ms = int(self.telemetry.interval * 1000)
-        return dashboard_html(poll_ms=max(500, poll_ms))
 
     # -- lifecycle -----------------------------------------------------
     def cancel(self, job_id: str) -> bool:
@@ -627,37 +592,12 @@ class ServiceDaemon:
                 return True
             self._closed = True
         drained = self.queue.shutdown(timeout)
-        if self.telemetry is not None:
-            self.telemetry.stop()
         self.journal.record("daemon_stop", drained=drained)
         self.journal.close()
         if self._previous_registry is not None:
             metrics_mod.set_registry(self._previous_registry)
             self._previous_registry = None
         return drained
-
-    def install_signal_handlers(self, server=None) -> bool:
-        """SIGTERM/SIGINT -> drain gracefully, then stop serving.
-
-        Only possible from the main thread; returns False elsewhere.
-        """
-        if threading.current_thread() is not threading.main_thread():
-            return False
-
-        def handler(signum, _frame):
-            log.info("signal %d: graceful drain", signum)
-            threading.Thread(
-                target=self._graceful_stop, args=(server,), daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, handler)
-        signal.signal(signal.SIGINT, handler)
-        return True
-
-    def _graceful_stop(self, server) -> None:
-        self.close(timeout=None)
-        if server is not None:
-            server.shutdown()
 
     def __enter__(self) -> "ServiceDaemon":
         return self

@@ -14,16 +14,15 @@ Routes (all bodies JSON):
 - ``POST /jobs/<id>/cancel``  cancel a queued job
 - ``GET  /metrics``           service + registry snapshot
   (``?format=prometheus`` for text exposition)
-- ``GET  /timeseries``        ring-buffer rate/gauge/quantile series
-- ``GET  /dashboard``         the live HTML dashboard (inline SVG)
-- ``GET  /health``            liveness/readiness + SLO burn status
+- ``GET  /health``            liveness/readiness + queue counts
 - ``POST /shutdown``          graceful drain, then stop serving
 
 The server is a ``ThreadingHTTPServer``: each request is handled on
 its own thread against the daemon's thread-safe API, so a slow result
 fetch never blocks a submit.  Errors map to conventional statuses:
 400 malformed spec, 404 unknown job, 409 job not finished, 429 queue
-full (backpressure), 503 draining.
+full (backpressure), 503 draining.  A ``Content-Length`` that is not
+a non-negative integer is a 400, never a read of an unknown length.
 """
 
 from __future__ import annotations
@@ -81,16 +80,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_html(self, status: int, html: str) -> None:
-        body = html.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown, so the connection cannot be
+            # reused for another request
+            self.close_connection = True
+            raise ServiceRequestError(
+                400, f"bad Content-Length {header!r}"
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -144,18 +146,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             else:
                 self._send_json(200, snapshot)
-            return
-        if path == "/timeseries":
-            try:
-                self._send_json(200, self.daemon.timeseries_snapshot())
-            except LookupError as exc:
-                raise ServiceRequestError(404, str(exc))
-            return
-        if path == "/dashboard":
-            try:
-                self._send_html(200, self.daemon.dashboard_page())
-            except LookupError as exc:
-                raise ServiceRequestError(404, str(exc))
             return
         if path == "/jobs":
             self._send_json(200, {"jobs": self.daemon.list_jobs()})

@@ -83,7 +83,11 @@ class CompiledTimingGraph:
         module: Optional[Module] = None,
         library: Optional[Library] = None,
     ):
-        self.module = module if module is not None else graph.module
+        # held weakly: _MODULE_CACHE keys on the module, so a strong
+        # reference from its value would keep every timed module alive
+        self._module_ref = weakref.ref(
+            module if module is not None else graph.module
+        )
         self.library = library
         self.build_derate = graph.derate
         self.broken_edge_count = len(graph.broken_edges)
@@ -216,6 +220,14 @@ class CompiledTimingGraph:
         metrics.counter("sta.compiled.builds").inc()
 
     # ------------------------------------------------------------------
+    @property
+    def module(self) -> Module:
+        """The module the graph was built from (read-only)."""
+        module = self._module_ref()
+        if module is None:
+            raise ReferenceError("the compiled graph's module was freed")
+        return module
+
     @property
     def node_count(self) -> int:
         return len(self.nodes)
@@ -430,7 +442,8 @@ class CompiledTimingGraph:
             raise ValueError(
                 "refresh_wires needs the library the graph was built with"
             )
-        attrs = self.module.attributes
+        module = self.module
+        attrs = module.attributes
         new_caps: Dict[str, float] = attrs.get("net_wire_cap", {})
         new_delays: Dict[str, float] = attrs.get("net_wire_delay", {})
         default_cap = self.library.default_wire_cap
@@ -457,7 +470,7 @@ class CompiledTimingGraph:
             if not touched:
                 continue
             load = compute_net_pin_load(
-                self.module,
+                module,
                 self.library,
                 net,
                 new_caps.get(net, default_cap),
@@ -476,7 +489,7 @@ class CompiledTimingGraph:
                         load
                         if arc_net == net
                         else compute_net_pin_load(
-                            self.module,
+                            module,
                             self.library,
                             arc_net,
                             new_caps.get(arc_net, default_cap),

@@ -1,5 +1,8 @@
 """Implementation-flow and CLI tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -129,6 +132,18 @@ def test_cli_version_exits_zero(capsys):
     from repro import __version__
 
     assert __version__ in capsys.readouterr().out
+
+
+def test_package_version_matches_pyproject():
+    # a regex, not tomllib: the suite also runs on Python 3.9
+    from repro import __version__
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(
+        r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+    )
+    assert match is not None, "no version line in pyproject.toml"
+    assert __version__ == match.group(1)
 
 
 def test_cli_usage_errors_exit_one(tmp_path, capsys):

@@ -7,8 +7,7 @@ exporters, sim-kernel introspection counters, the unified
 ``repro-bench/v1`` schema with machine metadata, the append-only
 history store, the statistical regression detector (legacy
 bit-identical arithmetic, MAD bands, floors/ceilings), the ``repro
-bench`` CLI verbs, the profiled-service-job HTTP round trip, and
-``quantile_from_buckets`` edge cases.
+bench`` CLI verbs, and the profiled-service-job HTTP round trip.
 """
 
 import json
@@ -36,7 +35,6 @@ from repro.obs.export import (
     write_profile,
 )
 from repro.obs.prof import Profiler
-from repro.obs.timeseries import quantile_from_buckets
 from repro.service import (
     JobSpec,
     ServiceClient,
@@ -44,7 +42,6 @@ from repro.service import (
     ServiceDaemon,
     make_server,
 )
-from repro.service.telemetry import TelemetryHub
 from repro.sim import Simulator
 
 
@@ -756,17 +753,25 @@ def test_profiled_jobs_count_service_metric(daemon):
     assert daemon.job_status(job.id)["profiled"] is True
 
 
-def test_telemetry_hub_bounds_profiler_registry():
-    from repro.obs.metrics import MetricsRegistry
-
-    hub = TelemetryHub(MetricsRegistry(), max_traces=2)
-    hub.job_profiler("job-a")
-    hub.job_profiler("job-b")
-    hub.job_profiler("job-c")
-    assert hub.profile_count() == 2
-    assert hub.evicted_profiles == 1
-    assert hub.get_profiler("job-a") is None  # oldest evicted first
-    assert hub.get_profiler("job-c") is not None
+def test_daemon_bounds_profiler_retention(tmp_path):
+    with ServiceDaemon(
+        run_dir=str(tmp_path / "svc"), workers=1, max_traces=2
+    ) as daemon:
+        jobs = []
+        for width in (4, 5, 6):
+            job, _ = daemon.submit(
+                JobSpec(design="counter", params={"width": width},
+                        profile=True)
+            )
+            daemon.queue.wait(job.id, timeout=120.0)
+            jobs.append(job)
+        retention = daemon.trace_retention()
+        assert (retention["jobs"], retention["evicted"]) == (2, 1)
+        # oldest evicted first, profile and trace together
+        assert daemon.job_status(jobs[0].id)["profiled"] is False
+        with pytest.raises(LookupError):
+            daemon.job_profile(jobs[0].id)
+        assert daemon.job_profile(jobs[-1].id)["stage_count"] > 0
 
 
 def test_job_spec_profile_field_serialization():
@@ -777,48 +782,3 @@ def test_job_spec_profile_field_serialization():
     # the default stays out of the serialized form (byte-identical to
     # pre-profile job records)
     assert JobSpec(design="counter").to_dict().get("profile") is None
-
-
-# ---------------------------------------------------------------------------
-# quantile_from_buckets edge cases (satellite 4)
-# ---------------------------------------------------------------------------
-
-BOUNDS = (1.0, 2.0, 4.0)
-
-
-def test_quantile_empty_window_is_none():
-    assert quantile_from_buckets(BOUNDS, (0, 0, 0), 0, 0.5) is None
-    assert quantile_from_buckets(BOUNDS, (), 0, 0.5) is None
-
-
-def test_quantile_single_bucket_mass_interpolates_inside_it():
-    # all 10 observations in (1, 2]: the median interpolates halfway
-    value = quantile_from_buckets(BOUNDS, (0, 10, 0), 0, 0.5)
-    assert value == pytest.approx(1.5)
-    # q near the edges stays inside the same bucket
-    assert 1.0 <= quantile_from_buckets(BOUNDS, (0, 10, 0), 0, 0.01) <= 2.0
-    assert 1.0 <= quantile_from_buckets(BOUNDS, (0, 10, 0), 0, 0.99) <= 2.0
-
-
-def test_quantile_all_mass_in_overflow_clamps_to_last_bound():
-    assert quantile_from_buckets(BOUNDS, (0, 0, 0), 7, 0.5) == 4.0
-    # mixed: the high quantile lands in the overflow -> clamped
-    assert quantile_from_buckets(BOUNDS, (1, 0, 0), 9, 0.99) == 4.0
-
-
-def test_quantile_q_zero_and_one():
-    counts = (4, 4, 2)
-    # q=0: rank 0 lands at the lower edge of the first occupied bucket
-    assert quantile_from_buckets(BOUNDS, counts, 0, 0.0) == pytest.approx(0.0)
-    # first bucket's lower edge is 0 by convention
-    assert quantile_from_buckets(
-        (1.0, 2.0), (0, 5), 0, 0.0
-    ) == pytest.approx(1.0)
-    # q=1: the full rank exhausts every bucket -> upper edge of the last
-    assert quantile_from_buckets(BOUNDS, counts, 0, 1.0) == pytest.approx(4.0)
-
-
-def test_quantile_interpolation_across_buckets():
-    # 2 obs in (0,1], 2 in (1,2]: p75 is halfway through the second
-    value = quantile_from_buckets((1.0, 2.0), (2, 2), 0, 0.75)
-    assert value == pytest.approx(1.5)

@@ -3,18 +3,26 @@
 Covers the satellite contracts too: the job queue's ordering /
 cancellation / timeout semantics, job-key dedupe with cross-job cache
 sharing, the HTTP round trip through ``service.client``, graceful
-drain, failure isolation, ``ArtifactCache`` eviction + locking,
-``parallel_map`` item-indexed errors + backpressure, and the
-``RunJournal`` parent-directory fix.
+drain, failure isolation, request-body validation, the service CLI
+verbs end to end against a ``serve`` subprocess, ``ArtifactCache``
+eviction + locking, ``parallel_map`` item-indexed errors +
+backpressure, and the ``RunJournal`` parent-directory fix.
 """
 
 import json
 import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
+from repro.cli import main as cli_main
 from repro.engine import (
     ArtifactCache,
     PoolItemError,
@@ -389,6 +397,111 @@ def test_http_shutdown_drains(service):
     while daemon.queue.accepting and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not daemon.queue.accepting
+
+
+@pytest.mark.parametrize(
+    "length, body",
+    [("abc", ""), ("-1", ""), ("5", "nope!")],
+    ids=["non-integer-length", "negative-length", "bad-json"],
+)
+def test_http_rejects_malformed_bodies(service, length, body):
+    _daemon, server, _client = service
+    host, port = server.server_address[:2]
+    # raw socket: urllib would refuse to send these headers
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(
+            f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n{body}".encode()
+        )
+        status_line = sock.makefile("rb").readline()
+    assert status_line.split()[1] == b"400", status_line
+
+
+# ---------------------------------------------------------------------------
+# Service CLI verbs against a ``serve`` subprocess
+# ---------------------------------------------------------------------------
+
+def _start_serve(tmp_path):
+    """Launch ``repro serve --port 0``; returns (process, url)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    log_path = tmp_path / "serve.log"
+    with open(log_path, "w") as log:
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--run-dir", str(tmp_path / "svc"), "--workers", "1",
+            ],
+            stdout=log,
+            stderr=subprocess.STDOUT,
+            env=env,
+        )
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline and process.poll() is None:
+        match = re.search(r"serving on (http://\S+)", log_path.read_text())
+        if match:
+            return process, match.group(1)
+        time.sleep(0.05)
+    _stop_serve(process)
+    raise AssertionError(f"serve did not start:\n{log_path.read_text()}")
+
+
+def _stop_serve(process):
+    if process.poll() is None:
+        process.kill()
+    process.wait(timeout=10.0)
+
+
+def test_service_cli_end_to_end(tmp_path, capsys):
+    process, url = _start_serve(tmp_path)
+    try:
+        assert cli_main([
+            "submit", "counter", "--param", "width=4", "--profile",
+            "--wait", "--url", url,
+        ]) == 0
+        capsys.readouterr()
+
+        assert cli_main(["status", "--url", url]) == 0
+        listing = json.loads(capsys.readouterr().out)
+        assert set(listing["health"]) == {"status", "jobs"}
+        [job] = listing["jobs"]
+        assert job["state"] == "done" and job["profiled"] is True
+
+        trace_out = tmp_path / "trace.json"
+        assert cli_main([
+            "trace", job["id"], "--out", str(trace_out), "--url", url,
+        ]) == 0
+        document = json.loads(trace_out.read_text())
+        assert document["otherData"]["job"] == job["id"]
+        assert document["otherData"]["trace_id"] == job["trace_id"]
+
+        profile_out = tmp_path / "profile.json"
+        assert cli_main([
+            "profile", job["id"], "--out", str(profile_out), "--url", url,
+        ]) == 0
+        assert json.loads(profile_out.read_text())["stage_count"] > 0
+
+        capsys.readouterr()
+        assert cli_main(["cancel", job["id"], "--url", url]) == 0
+        assert json.loads(capsys.readouterr().out)["cancelled"] is False
+
+        assert cli_main(["shutdown", "--url", url]) == 0
+        assert process.wait(timeout=60.0) == 0
+    finally:
+        _stop_serve(process)
+    # the removed telemetry flags are usage errors now
+    assert cli_main(["serve", "--slo", "x"]) == 1
+
+
+def test_serve_drains_on_sigterm(tmp_path):
+    process, _url = _start_serve(tmp_path)
+    try:
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60.0) == 0
+    finally:
+        _stop_serve(process)
+    events = read_journal(str(tmp_path / "svc" / "daemon.jsonl"))
+    assert events[-1]["event"] == "daemon_stop"
 
 
 # ---------------------------------------------------------------------------

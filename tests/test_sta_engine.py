@@ -8,10 +8,15 @@ behaviours the engine layers on top (net loads, compiled graphs,
 characterised ladders).
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.designs import pipeline3
+from repro.desync import desynchronize
 from repro.desync.delays import (
     _LADDER_MEMO,
     characterize_ladder,
@@ -28,6 +33,7 @@ from repro.sta import (
     compiled_graph,
     compute_net_loads,
     invalidate_module,
+    min_clock_period,
     propagate,
     ssta_analyze,
     ssta_corners,
@@ -392,6 +398,22 @@ def test_compiled_graph_cached_and_invalidated():
     assert compiled_graph(module, LIB) is compiled
     module.add_instance("extra", "INVX1", {"A": "n0", "Z": "x0"})
     assert compiled_graph(module, LIB) is not compiled
+
+
+def test_compiled_graph_cache_frees_timed_modules():
+    module = pipeline3(LIB)
+    min_clock_period(module, LIB)
+    timed = weakref.ref(module)
+    del module
+    gc.collect()
+    assert timed() is None, "the compiled-graph cache kept a timed module"
+
+    module = pipeline3(LIB)
+    result = desynchronize(module, LIB)
+    source, desynced = weakref.ref(module), weakref.ref(result.module)
+    del module, result
+    gc.collect()
+    assert source() is None and desynced() is None
 
 
 def test_ladder_memoized_in_process():

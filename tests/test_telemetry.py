@@ -1,20 +1,19 @@
-"""Tests for the service telemetry layer (PR 7).
+"""Tests for the service's per-job telemetry.
 
-Covers the tentpole and its satellites: bounded tracer retention with
-a dropped-span counter, thread-scoped tracer activation (per-job trace
-isolation across concurrent daemon jobs), trace-ID stamping on run
-journals / flow reports / exported trace events, the ring-buffer time
-series + streaming histogram quantiles, declarative SLO parsing and
-burn-rate evaluation, the Prometheus text exposition upgrade, the new
-HTTP surfaces (``/jobs/<id>/trace``, ``/timeseries``, ``/dashboard``)
-with Perfetto validation, and the daemon soak guarantee that telemetry
-memory stays flat over many jobs.
+Covers bounded tracer retention with a dropped-span counter,
+thread-scoped tracer activation (per-job trace isolation across
+concurrent daemon jobs), trace-ID stamping on run journals / flow
+reports / exported trace events, the Prometheus text exposition,
+``GET /jobs/<id>/trace`` with Perfetto validation, and the daemon soak
+guarantee that the per-job trace LRU keeps memory flat over many jobs.
 """
 
 import json
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -22,23 +21,13 @@ from repro.engine import RunJournal, read_journal
 from repro.obs import trace
 from repro.obs.export import prometheus_text, trace_document
 from repro.obs.metrics import MetricsRegistry, render_name, split_name
-from repro.obs.timeseries import (
-    RingBuffer,
-    TimeSeriesSampler,
-    TimeSeriesStore,
-    quantile_from_buckets,
-)
 from repro.service import (
-    SLO,
     JobSpec,
     ServiceClient,
     ServiceClientError,
     ServiceDaemon,
-    default_slos,
     make_server,
-    parse_slo,
 )
-from repro.service.telemetry import TelemetryHub, dashboard_html
 
 
 # ---------------------------------------------------------------------------
@@ -176,157 +165,6 @@ def test_journal_concurrent_writers_never_interleave(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Ring buffers + time series
-# ---------------------------------------------------------------------------
-
-def test_ring_buffer_caps_and_orders():
-    ring = RingBuffer(capacity=4)
-    for i in range(10):
-        ring.append(float(i), float(i * 10))
-    assert len(ring) == 4
-    assert ring.dropped == 6
-    assert ring.points() == [(6.0, 60.0), (7.0, 70.0), (8.0, 80.0), (9.0, 90.0)]
-    assert ring.last() == (9.0, 90.0)
-    assert ring.since(8.0) == [(8.0, 80.0), (9.0, 90.0)]
-
-
-def test_quantile_from_buckets_interpolates():
-    # 10 observations uniform in (0, 10]: bounds 5 and 10, 5 in each
-    assert quantile_from_buckets([5.0, 10.0], [5, 5], 0, 0.5) == 5.0
-    assert quantile_from_buckets([5.0, 10.0], [5, 5], 0, 0.25) == 2.5
-    # overflow clamps to the last bound
-    assert quantile_from_buckets([5.0], [0], 3, 0.99) == 5.0
-    # empty window
-    assert quantile_from_buckets([5.0], [0], 0, 0.5) is None
-
-
-def test_store_derives_rates_gauges_and_quantiles():
-    registry = MetricsRegistry()
-    store = TimeSeriesStore(capacity=16)
-    registry.counter("c").inc(5)
-    registry.gauge("g").set(3.0)
-    hist = registry.histogram("h", buckets=[1.0, 2.0])
-
-    store.sample(registry, now=100.0)  # primes; gauges recorded
-    assert store.get("g").ring.points() == [(100.0, 3.0)]
-    assert store.get("c.rate") is None
-
-    registry.counter("c").inc(10)
-    for value in (0.5, 0.5, 1.5, 1.5):
-        hist.observe(value)
-    store.sample(registry, now=102.0)
-
-    rate_points = store.get("c.rate").ring.points()
-    assert rate_points == [(102.0, 5.0)]  # 10 increments / 2 s
-    assert store.get("h.rate").ring.points() == [(102.0, 2.0)]
-    p50 = store.get("h.p50").ring.last()[1]
-    assert 0.0 < p50 <= 1.0  # median of {0.5, 0.5, 1.5, 1.5} window
-    assert store.get("h.p99") is not None
-
-    # window semantics: an idle interval yields zero rates, not sums
-    store.sample(registry, now=104.0)
-    assert store.get("c.rate").ring.last() == (104.0, 0.0)
-
-
-def test_sampler_thread_and_hook():
-    registry = MetricsRegistry()
-    store = TimeSeriesStore()
-    calls = []
-
-    def hook(s, now):
-        calls.append(now)
-        registry.gauge("hooked").set(len(calls))
-
-    sampler = TimeSeriesSampler(store, registry, interval=0.05, hook=hook)
-    sampler.start()
-    time.sleep(0.2)
-    sampler.stop()
-    assert len(calls) >= 2
-    assert store.get("hooked") is not None
-    assert store.samples >= 2
-
-    # a broken hook must not kill sampling
-    def bad_hook(s, now):
-        raise RuntimeError("boom")
-
-    sampler2 = TimeSeriesSampler(store, registry, interval=0.05, hook=bad_hook)
-    assert sampler2.sample_once() >= 0
-
-
-# ---------------------------------------------------------------------------
-# SLOs
-# ---------------------------------------------------------------------------
-
-def test_parse_slo_full_and_defaults():
-    slo = parse_slo("lat:service.job.latency_s.p95<=2.5@0.99/120")
-    assert (slo.name, slo.series) == ("lat", "service.job.latency_s.p95")
-    assert (slo.objective, slo.op) == (2.5, "<=")
-    assert (slo.target, slo.window_s) == (0.99, 120.0)
-    slo = parse_slo("up:service.cache.hit_rate>=0.5")
-    assert (slo.op, slo.target, slo.window_s) == (">=", 0.95, 300.0)
-    # round trip
-    assert parse_slo(slo.to_spec()) == slo
-
-
-def test_parse_slo_rejects_garbage():
-    for bad in ("nope", "a:b", "a:b<=x", "a:b<=1@2", ""):
-        with pytest.raises(ValueError):
-            parse_slo(bad)
-    with pytest.raises(ValueError):
-        SLO("x", "s", 1.0, op="==")
-    with pytest.raises(ValueError):
-        SLO("x", "s", 1.0, target=0.0)
-
-
-def test_slo_statuses_over_ring_windows():
-    store = TimeSeriesStore()
-    slo = SLO("lat", "lat.p95", 1.0, "<=", target=0.9, window_s=100.0)
-    now = 1000.0
-    assert slo.evaluate(store, now)["status"] == "no_data"
-
-    for i in range(10):
-        store.record("lat.p95", 0.5, ts=now - 50 + i)
-    verdict = slo.evaluate(store, now)
-    assert verdict["status"] == "ok"
-    assert verdict["good_fraction"] == 1.0
-    assert verdict["burn_rate"] == 0.0
-
-    # one bad point in eleven -> bad_fraction 1/11, budget 0.1, burn
-    # ~0.91: budget nearly fully burning, which warns but not breaches
-    store.record("lat.p95", 5.0, ts=now - 10)
-    verdict = slo.evaluate(store, now)
-    assert verdict["status"] == "warn"
-    assert verdict["burn_rate"] == pytest.approx((1 / 11) / 0.1, abs=1e-3)
-
-    # majority bad -> breach
-    for i in range(8):
-        store.record("lat.p95", 9.0, ts=now - 5 + 0.1 * i)
-    assert slo.evaluate(store, now)["status"] == "breach"
-
-    # points outside the window are ignored
-    old = SLO("lat", "lat.p95", 1.0, "<=", window_s=1.0)
-    assert old.evaluate(store, now + 1000)["status"] == "no_data"
-
-
-def test_default_slos_cover_latency_errors_and_queue():
-    names = {slo.name for slo in default_slos()}
-    assert names == {"job_latency_p95", "error_rate", "queue_wait_p95"}
-
-
-def test_telemetry_hub_bounds_trace_registry():
-    hub = TelemetryHub(MetricsRegistry(), max_traces=3, max_trace_spans=10)
-    for i in range(7):
-        tracer = hub.job_tracer(f"job{i}", f"t{i}")
-        with tracer.span("s"):
-            pass
-    assert hub.trace_count() == 3
-    assert hub.evicted_traces == 4
-    assert hub.get_tracer("job0") is None
-    assert hub.get_tracer("job6").trace_id == "t6"
-    assert hub.span_count() == 3
-
-
-# ---------------------------------------------------------------------------
 # Prometheus exposition
 # ---------------------------------------------------------------------------
 
@@ -384,11 +222,7 @@ def test_prometheus_labelled_histogram_merges_le_label():
 
 @pytest.fixture()
 def daemon(tmp_path):
-    daemon = ServiceDaemon(
-        run_dir=str(tmp_path / "svc"),
-        workers=2,
-        timeseries_interval=0.1,
-    )
+    daemon = ServiceDaemon(run_dir=str(tmp_path / "svc"), workers=2)
     yield daemon
     daemon.close(timeout=30.0)
 
@@ -474,26 +308,21 @@ def test_job_trace_errors(daemon):
         daemon.job_trace("ffffffffffff")
 
 
-def test_telemetry_disabled_daemon_still_works(tmp_path):
-    daemon = ServiceDaemon(
-        run_dir=str(tmp_path / "svc"), workers=1, telemetry=False
-    )
-    try:
+def test_dropped_spans_surface_in_status_metrics_and_trace(tmp_path):
+    with ServiceDaemon(
+        run_dir=str(tmp_path / "svc"), workers=1, max_trace_spans=2
+    ) as daemon:
         job, _ = daemon.submit(JobSpec(design="counter", params={"width": 4}))
         daemon.queue.wait(job.id, timeout=120.0)
-        assert daemon.job_status(job.id)["state"] == "done"
-        with pytest.raises(LookupError):
-            daemon.timeseries_snapshot()
-        with pytest.raises(LookupError):
-            daemon.job_trace(job.id)
-        with pytest.raises(LookupError):
-            daemon.dashboard_page()
-        assert "slos" not in daemon.health()
-    finally:
-        daemon.close(timeout=30.0)
+        dropped = daemon.job_status(job.id)["trace_dropped"]
+        assert dropped > 0
+        counters = daemon.registry.snapshot()["counters"]
+        assert counters["service.trace.spans_dropped"] == dropped
+        document = daemon.job_trace(job.id)
+        assert document["otherData"]["dropped_spans"] == dropped
 
 
-def test_http_trace_timeseries_dashboard_round_trip(daemon):
+def test_http_trace_round_trip(daemon):
     server = make_server(daemon).start_background()
     try:
         client = ServiceClient(server.url)
@@ -505,79 +334,55 @@ def test_http_trace_timeseries_dashboard_round_trip(daemon):
         assert document["otherData"]["job"] == ticket["id"]
         assert any(e["name"].startswith("stage:") for e in complete)
 
-        time.sleep(0.3)  # let the 0.1 s sampler take a few samples
-        series = client.timeseries()
-        assert series["samples"] >= 2
-        assert series["series"], "no series sampled"
-        assert any(
-            name.endswith(".rate") for name in series["series"]
-        )
-        assert 'repro.jobs{state="done"}' in series["series"]
-
-        health = client.health()
-        assert "slos" in health
-        assert {o["name"] for o in health["slos"]["objectives"]} == {
-            "job_latency_p95", "error_rate", "queue_wait_p95",
-        }
-
-        html = client.dashboard()
-        assert html.lstrip().startswith("<!DOCTYPE html>")
-        assert "/timeseries" in html and "sparkline" in html
-
+        assert set(client.health()) == {"status", "jobs"}
         with pytest.raises(ServiceClientError) as err:
             client.trace("ffffffffffff")
         assert err.value.status == 404
+        # the time-series and dashboard routes are gone
+        for path in ("/timeseries", "/dashboard"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(server.url + path, timeout=10)
+            err.value.close()
+            assert err.value.code == 404
     finally:
         server.stop()
 
 
-def test_dashboard_html_is_self_contained():
-    html = dashboard_html(poll_ms=1234)
-    assert "1234" in html
-    # zero external assets: no http(s) fetches outside the API polls
-    assert "<script src" not in html and "<link" not in html
-    for endpoint in ("/timeseries", "/health", "/jobs", "/metrics"):
-        assert endpoint in html
-
-
 def test_soak_many_jobs_keep_telemetry_memory_flat(tmp_path):
-    """>=50 sequential jobs: spans, traces and series stay bounded."""
+    """>=50 sequential jobs: the per-job trace LRU stays bounded."""
     daemon = ServiceDaemon(
         run_dir=str(tmp_path / "svc"),
         workers=1,
-        timeseries_interval=0.05,
         max_traces=16,
         max_trace_spans=200,
     )
     try:
         span_counts = []
+        jobs = []
         for i in range(50):
             job, _ = daemon.submit(
                 JobSpec(design="counter", params={"width": 4}), reuse=False
             )
             settled = daemon.queue.wait(job.id, timeout=120.0)
             assert settled.state.value == "done"
-            span_counts.append(daemon.telemetry.span_count())
-        # trace registry bounded: at most max_traces tracers retained
-        assert daemon.telemetry.trace_count() <= 16
-        assert daemon.telemetry.evicted_traces >= 50 - 16
+            jobs.append(job)
+            span_counts.append(daemon.trace_retention()["spans"])
+        # the LRU holds exactly max_traces jobs; every older one was
+        # evicted and counted, oldest first
+        retention = daemon.trace_retention()
+        assert retention["jobs"] == 16
+        assert retention["evicted"] == 50 - 16
+        with pytest.raises(LookupError):
+            daemon.job_trace(jobs[0].id)
+        newest = daemon.job_trace(jobs[-1].id)
+        assert newest["otherData"]["trace_id"] == (
+            daemon.job_status(jobs[-1].id)["trace_id"]
+        )
         # retained spans plateau instead of growing linearly with jobs:
         # once 16 tracers are live, each new job evicts one, so the
         # count stops rising (warm jobs record fewer spans than cold)
         assert span_counts[-1] <= 16 * 200
         assert max(span_counts[-10:]) <= max(span_counts[:20])
-        # series memory: every ring respects the store capacity
-        snapshot = daemon.timeseries_snapshot()
-        assert snapshot["series"]
-        for series in snapshot["series"].values():
-            assert len(series["points"]) <= snapshot["capacity"]
-        # and the SLO verdicts are live
-        health = daemon.health()
-        statuses = {
-            o["status"] for o in health["slos"]["objectives"]
-        }
-        assert statuses <= {"ok", "warn", "breach", "no_data"}
-        assert health["slos"]["status"] in ("ok", "warn", "breach", "no_data")
     finally:
         daemon.close(timeout=30.0)
 
@@ -590,24 +395,17 @@ def test_serve_parser_accepts_telemetry_flags():
     from repro.service.cli import build_service_parser
 
     parser = build_service_parser()
-    args = parser.parse_args(
-        [
-            "serve",
-            "--slo", "lat:service.job.latency_s.p95<=2.0@0.99/120",
-            "--slo", "err:service.jobs.failed.rate<=0.01",
-            "--timeseries-interval", "0.5",
-            "--timeseries-capacity", "1200",
-            "--max-trace-spans", "999",
-            "--no-telemetry",
-        ]
-    )
-    assert len(args.slo) == 2
-    assert args.timeseries_interval == 0.5
-    assert args.timeseries_capacity == 1200
+    args = parser.parse_args(["serve", "--max-trace-spans", "999"])
     assert args.max_trace_spans == 999
-    assert args.no_telemetry is True
-    parsed = [parse_slo(spec) for spec in args.slo]
-    assert parsed[0].window_s == 120.0
+    # the time-series, SLO and on/off switches are gone
+    for removed in (
+        ["--slo", "x"],
+        ["--timeseries-interval", "0.5"],
+        ["--timeseries-capacity", "1200"],
+        ["--no-telemetry"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", *removed])
 
 
 def test_trace_verb_parses():
