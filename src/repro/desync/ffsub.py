@@ -107,12 +107,17 @@ def substitute_flip_flops(
             and gatefile.is_flip_flop(inst.cell)
         ]
         per_region: Dict[str, int] = {}
+        # clock net -> its clock-gate driver, looked up once per net: the
+        # driver stays in place until _drop_orphan_clock_gates, while a
+        # per-flip-flop scan of the clock net would be O(FFs x fanout)
+        clock_gates: Dict[str, Optional[Tuple[str, str]]] = {}
         for ff_name in flip_flops:
             region = region_map.region_of(ff_name)
             if region is not None:
                 per_region[region] = per_region.get(region, 0) + 1
             _substitute_one(
-                module, gatefile, library, region_map, chooser, ff_name, result
+                module, gatefile, library, region_map, chooser, ff_name,
+                result, clock_gates,
             )
 
         _drop_orphan_clock_gates(module, gatefile, result)
@@ -142,6 +147,7 @@ def _substitute_one(
     chooser: GateChooser,
     ff_name: str,
     result: SubstitutionResult,
+    clock_gates: Dict[str, Optional[Tuple[str, str]]],
 ) -> None:
     inst = module.instances[ff_name]
     rule = gatefile.rule_for(inst.cell)
@@ -171,7 +177,11 @@ def _substitute_one(
     clock_net = inst.pins.get(clock_pins[0]) if clock_pins else None
     gate_enable: Optional[str] = None
     if clock_net is not None:
-        gated = _clock_gate_enable(module, gatefile, clock_net)
+        if clock_net not in clock_gates:
+            clock_gates[clock_net] = _clock_gate_enable(
+                module, gatefile, clock_net
+            )
+        gated = clock_gates[clock_net]
         if gated is not None:
             gate_inst, gate_enable = gated
             if gate_inst not in result.removed_clock_gates:

@@ -107,6 +107,22 @@ class DesyncResult:
         }
 
 
+#: the artifacts :meth:`Drdesync.assemble_result` reads, and the only
+#: ones it can read; the flows hand them to ``FlowEngine.run(load=...)``
+#: so an unloadable cache entry among them is recomputed there
+RESULT_ARTIFACTS = (
+    "module.network",
+    "import_stats",
+    "clean_stats",
+    "ladder",
+    "region_map.ffsub",
+    "ddg",
+    "substitution",
+    "network",
+    "sdc",
+)
+
+
 class Drdesync:
     """The desynchronization tool.
 
@@ -183,21 +199,22 @@ class Drdesync:
         a cache hit made the engine produce a fresh copy, preserving
         the tool's in-place rewrite contract.
         """
-        final = artifacts[prefix + "module.network"]
+        got = {name: artifacts[prefix + name] for name in RESULT_ARTIFACTS}
+        final = got["module.network"]
         if final is not module:
             module.copy_from(final)
-        import_stats = dict(artifacts[prefix + "import_stats"])
-        import_stats.update(artifacts[prefix + "clean_stats"])
-        self._ladder = artifacts[prefix + "ladder"]
+        import_stats = dict(got["import_stats"])
+        import_stats.update(got["clean_stats"])
+        self._ladder = got["ladder"]
         return DesyncResult(
             module=module,
             gatefile=self.gatefile,
-            region_map=artifacts[prefix + "region_map.ffsub"],
-            ddg=artifacts[prefix + "ddg"],
-            substitution=artifacts[prefix + "substitution"],
-            network=artifacts[prefix + "network"],
+            region_map=got["region_map.ffsub"],
+            ddg=got["ddg"],
+            substitution=got["substitution"],
+            network=got["network"],
             ladder=self._ladder,
-            sdc=artifacts[prefix + "sdc"],
+            sdc=got["sdc"],
             import_stats=import_stats,
         )
 
@@ -214,6 +231,7 @@ class Drdesync:
             graph,
             initial={"module.input": module},
             label=f"drdesync:{module.name}",
+            load=RESULT_ARTIFACTS,
         )
         result.raise_first_failure()
         return self.assemble_result(module, result.artifacts)

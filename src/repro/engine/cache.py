@@ -12,6 +12,13 @@ Two pieces live here:
   (see :mod:`repro.engine.executor`), with hit/miss accounting and an
   enabled/disabled switch (the ``--no-cache`` escape hatch).
 
+Stage keys cover inputs, params and a hand-bumped stage version, but
+not the layout of the classes inside the pickles.  Every manifest is
+therefore stamped with :func:`layout_stamp`, a fingerprint of the
+fields of every class the flow pickles: an entry written under another
+layout, or one whose pickles no longer load, is a miss rather than a
+crash deep inside a stage.
+
 Stage keys chain Merkle-style: a derived artifact's fingerprint is the
 key of the stage that produced it, so only *root* inputs (the imported
 netlist, the library, the option values) are ever content-hashed.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
@@ -151,6 +159,77 @@ def stable_hash(obj: Any) -> str:
 _LIB_FP_ATTR = "_engine_fingerprint"
 
 
+def _pickled_layouts() -> List[Any]:
+    """Every class whose instances cache entries pickle.
+
+    A plain class is listed as a probe instance: only an instance shows
+    the attributes its ``__init__`` sets.  Imported on first use, since
+    :mod:`repro.flow` imports the engine.
+    """
+    from ..desync.controllers import ControllerInstance
+    from ..desync.delays import DelayElement, DelayLadder
+    from ..desync.ffsub import SubstitutionResult
+    from ..desync.network import ControlNetwork
+    from ..desync.regions import Region, RegionMap
+    from ..dft.scan import ScanResult
+    from ..flow.reports import AreaReport
+    from ..netlist.core import Instance, Net, PinRef, Port, PortDirection
+    from ..physical.backend import BackendResult, LayoutReport
+    from ..physical.cts import ClockTree, CtsResult
+    from ..physical.placement import Placement
+    from ..physical.routing import RoutingResult
+    from ..sta import sdc
+
+    return [
+        Module("probe"), Port, Net, Instance, PinRef, PortDirection,
+        Region, RegionMap, SubstitutionResult, DelayLadder, DelayElement,
+        ControllerInstance, ControlNetwork, sdc.SdcFile, sdc.CreateClock,
+        sdc.SetDisableTiming, sdc.SetSizeOnly, sdc.SetDontTouch,
+        sdc.PathDelay, ScanResult, Placement, ClockTree, CtsResult,
+        RoutingResult, LayoutReport, BackendResult, AreaReport,
+    ]
+
+
+def _layout_of(item: Any) -> str:
+    """One pickled class's layout: its bases and its typed fields."""
+    if isinstance(item, type):
+        cls = item
+        if issubclass(cls, Enum):
+            fields = [repr(member.value) for member in cls]
+        else:
+            if dataclasses.is_dataclass(cls):
+                names = [fld.name for fld in dataclasses.fields(cls)]
+            else:  # NamedTuple fields, else slots
+                names = list(getattr(cls, "_fields", None) or cls.__slots__)
+            hints = vars(cls).get("__annotations__", {})
+            fields = []
+            for name in names:
+                hint = hints.get(name, "")
+                # NamedTuple wraps string annotations in ForwardRefs
+                hint = getattr(hint, "__forward_arg__", hint)
+                fields.append(f"{name}:{hint}")
+    else:  # probe instance of a plain class
+        cls = type(item)
+        fields = [
+            f"{name}:{type(value).__name__}"
+            for name, value in sorted(vars(item).items())
+        ]
+    bases = "<".join(base.__qualname__ for base in cls.__mro__)
+    return f"{cls.__module__}.{bases}({','.join(fields)})"
+
+
+@functools.lru_cache(maxsize=None)
+def layout_stamp() -> str:
+    """Fingerprint of the field layout of every pickled class.
+
+    Computed once per process.  Changing a field, its annotation or a
+    class's kind (say, a dataclass becoming a ``NamedTuple``) changes
+    the stamp, so entries written before the change miss.
+    """
+    text = "\n".join(_layout_of(item) for item in _pickled_layouts())
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def library_fingerprint(library) -> str:
     """Content fingerprint of a library, memoised on the object.
 
@@ -181,6 +260,9 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
+    #: lookups that found an entry but could not use it (foreign layout
+    #: stamp, unreadable pickle); each also counts as a miss
+    rejected: int = 0
 
     @property
     def lookups(self) -> int:
@@ -196,8 +278,25 @@ class CacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
+            "rejected": self.rejected,
             "hit_rate": round(self.hit_rate, 4),
         }
+
+
+class CacheEntryError(RuntimeError):
+    """A cache entry's sidecar could not be loaded.
+
+    ``key`` names the entry, so the engine can evict it and recompute
+    what it held (see :meth:`repro.engine.executor.FlowEngine.run`).
+    """
+
+    def __init__(self, key: str, path: str, cause: BaseException):
+        super().__init__(
+            f"cache entry {key[:12]}: cannot load "
+            f"{os.path.basename(path)} ({type(cause).__name__}: {cause})"
+        )
+        self.key = key
+        self.path = path
 
 
 class LazyArtifact:
@@ -207,20 +306,25 @@ class LazyArtifact:
     these out instead of eagerly unpickling; the executor's artifact
     map resolves them on first read, so a fully-cached replay only pays
     the deserialisation cost of the artifacts something actually
-    consumes.
+    consumes.  A sidecar that is missing, truncated or otherwise
+    unreadable raises :class:`CacheEntryError` naming entry ``key``.
     """
 
-    __slots__ = ("path", "_value", "_loaded")
+    __slots__ = ("path", "key", "_value", "_loaded")
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, key: str):
         self.path = path
+        self.key = key
         self._value = None
         self._loaded = False
 
     def load(self) -> Any:
         if not self._loaded:
-            with open(self.path, "rb") as handle:
-                self._value = pickle.load(handle)
+            try:
+                with open(self.path, "rb") as handle:
+                    self._value = pickle.load(handle)
+            except Exception as exc:
+                raise CacheEntryError(self.key, self.path, exc) from exc
             self._loaded = True
         return self._value
 
@@ -288,9 +392,16 @@ class ArtifactCache:
         try:
             with open(self._path(key), "rb") as handle:
                 manifest = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+        except FileNotFoundError:
             return None
-        if not isinstance(manifest, dict) or manifest.get("format") != 2:
+        except Exception:
+            manifest = None
+        if (
+            not isinstance(manifest, dict)
+            or manifest.get("format") != 2
+            or manifest.get("layout") != layout_stamp()
+        ):
+            self.stats.rejected += 1
             return None
         for name in manifest["sidecar"].values():
             if not os.path.isfile(
@@ -329,13 +440,14 @@ class ArtifactCache:
         try:
             for name, blob in manifest["inline"].items():
                 outputs[name] = pickle.loads(blob)
-        except (pickle.PickleError, EOFError, AttributeError):
+        except Exception:
             self.stats.hits -= 1
             self.stats.misses += 1
+            self.stats.rejected += 1
             return None
         for name, filename in manifest["sidecar"].items():
             outputs[name] = LazyArtifact(
-                os.path.join(self.directory, key[:2], filename)
+                os.path.join(self.directory, key[:2], filename), key
             )
         return outputs
 
@@ -382,7 +494,12 @@ class ArtifactCache:
                     return False
                 sidecar[name] = os.path.basename(self._path(key, part))
                 part += 1
-        manifest = {"format": 2, "inline": inline, "sidecar": sidecar}
+        manifest = {
+            "format": 2,
+            "layout": layout_stamp(),
+            "inline": inline,
+            "sidecar": sidecar,
+        }
         if not self._write_atomic(
             self._path(key),
             pickle.dumps(manifest, protocol=pickle.HIGHEST_PROTOCOL),
@@ -471,6 +588,28 @@ class ArtifactCache:
             evicted += 1
         self.stats.evictions += evicted
         return evicted
+
+    def evict(self, key: str) -> int:
+        """Delete the entry under ``key``: its manifest and its sidecars,
+        which :meth:`put` numbers from 0 without gaps; returns the
+        number of files removed."""
+
+        def unlink(path: str) -> bool:
+            try:
+                os.unlink(path)
+            except OSError:
+                return False
+            return True
+
+        with self._advisory_lock():
+            removed = int(unlink(self._path(key)))
+            part = 0
+            while unlink(self._path(key, part)):
+                removed += 1
+                part += 1
+        if removed:
+            self.stats.evictions += 1
+        return removed
 
     def clear(self) -> int:
         """Delete every entry; returns the number of files removed."""

@@ -16,7 +16,8 @@ The :class:`FlowEngine` schedules a :class:`~repro.engine.graph.FlowGraph`:
 - **robustness** -- per-stage timeout and retry policy, and graceful
   degradation: a failed stage is recorded (journal + result) and its
   dependents are skipped, but every artifact produced by the healthy
-  part of the graph is still returned.
+  part of the graph is still returned.  A cache entry whose sidecar no
+  longer loads is evicted and the graph runs once more.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..netlist.core import Module
 from ..obs import metrics, prof, trace
-from .cache import ArtifactCache, LazyArtifact, stable_hash
+from .cache import ArtifactCache, CacheEntryError, LazyArtifact, stable_hash
 from .graph import FlowGraph, Stage
 from .journal import RunJournal
 
@@ -247,6 +248,7 @@ class _RunState:
         graph: FlowGraph,
         initial: Dict[str, Any],
         label: str,
+        roots: Optional[Dict[str, str]] = None,
     ):
         self.engine = engine
         self.graph = graph
@@ -265,10 +267,13 @@ class _RunState:
         self._scheduled: Set[str] = set()
         self._pending_key: Dict[str, Optional[str]] = {}
         use_cache = engine.cache is not None and engine.cache.enabled
-        for name, value in initial.items():
-            self.fingerprints[name] = (
-                stable_hash(value) if use_cache else f"raw:{name}"
-            )
+        # a re-run reuses the first run's root fingerprints: stages may
+        # have rewritten the initial module in place since
+        self.roots = roots or {
+            name: stable_hash(value) if use_cache else f"raw:{name}"
+            for name, value in initial.items()
+        }
+        self.fingerprints.update(self.roots)
 
     # -- scheduling ----------------------------------------------------
     def take_ready(self) -> List[Stage]:
@@ -499,6 +504,21 @@ class _RunState:
             )
 
 
+def _damaged_entry(
+    state: _RunState, load: Sequence[str]
+) -> Optional[CacheEntryError]:
+    """The first unloadable cache entry a run hit, loading ``load``."""
+    for record in state.records.values():
+        if isinstance(record.error, CacheEntryError):
+            return record.error
+    try:
+        for name in load:
+            state.artifacts.get(name)
+    except CacheEntryError as exc:
+        return exc
+    return None
+
+
 class FlowEngine:
     """The orchestrator binding cache, journal and an executor."""
 
@@ -525,10 +545,46 @@ class FlowEngine:
         graph: FlowGraph,
         initial: Optional[Dict[str, Any]] = None,
         label: Optional[str] = None,
+        load: Sequence[str] = (),
     ) -> FlowResult:
+        """Execute ``graph`` from the ``initial`` artifacts.
+
+        ``load`` names artifacts the caller is about to read; they are
+        loaded before this returns.  When a cache entry's sidecar cannot
+        be loaded -- by a stage reading its inputs, or by ``load`` --
+        the entry is evicted and the graph runs once more, which
+        recomputes what the entry held; a second damaged entry costs a
+        second re-run, and so on, each entry at most once.
+        """
         initial = initial or {}
         label = label or graph.name
         graph.validate(initial)
+        result, state = self._run_once(graph, initial, label)
+        evicted: Set[str] = set()
+        while self.cache is not None:
+            damaged = _damaged_entry(state, load)
+            if damaged is None or damaged.key in evicted:
+                break
+            evicted.add(damaged.key)
+            self.cache.evict(damaged.key)
+            if self.journal is not None:
+                self.journal.record(
+                    "cache_evict", run=label, key=damaged.key[:12],
+                    error=str(damaged),
+                )
+            result, state = self._run_once(
+                graph, initial, label, roots=state.roots
+            )
+        self.results.append(result)
+        return result
+
+    def _run_once(
+        self,
+        graph: FlowGraph,
+        initial: Dict[str, Any],
+        label: str,
+        roots: Optional[Dict[str, str]] = None,
+    ) -> Tuple[FlowResult, _RunState]:
         if self.journal is not None:
             self.journal.record(
                 "run_start",
@@ -541,7 +597,7 @@ class FlowEngine:
                 else "off",
             )
         start = time.perf_counter()
-        state = _RunState(self, graph, initial, label)
+        state = _RunState(self, graph, initial, label, roots)
         with trace.span(
             "run:" + label, graph=graph.name, jobs=self.jobs
         ) as run_span:
@@ -569,8 +625,7 @@ class FlowEngine:
                 if self.cache is not None
                 else None,
             )
-        self.results.append(result)
-        return result
+        return result, state
 
     def run_many(
         self,

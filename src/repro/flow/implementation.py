@@ -23,7 +23,12 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..desync.tool import DesyncOptions, DesyncResult, Drdesync
+from ..desync.tool import (
+    RESULT_ARTIFACTS,
+    DesyncOptions,
+    DesyncResult,
+    Drdesync,
+)
 from ..dft.scan import ScanResult, insert_scan
 from ..engine.executor import FlowEngine, FlowResult
 from ..engine.graph import FlowGraph, Stage
@@ -263,6 +268,44 @@ def _desynchronized_stages(
     return stages
 
 
+#: the artifacts each implementation result reads (the desynchronized
+#: one also reads drdesync's :data:`~repro.desync.tool.RESULT_ARTIFACTS`);
+#: absent ones -- stages not in the graph, tolerated backend failures --
+#: read as ``None``
+SYNC_ARTIFACTS = (
+    "post_synthesis",
+    "scan",
+    "min_period",
+    "module.layout",
+    "backend",
+    "post_layout",
+    "module.scan",
+)
+DESYNC_ARTIFACTS = (
+    "post_synthesis",
+    "scan",
+    "module.layout",
+    "backend",
+    "post_layout",
+)
+
+
+def _to_load(prefix: str, desync: bool) -> List[str]:
+    """What a flow's result reads, for ``FlowEngine.run(load=...)``,
+    which recomputes an unloadable cache entry among them."""
+    if desync:
+        names = DESYNC_ARTIFACTS + RESULT_ARTIFACTS
+    else:
+        names = SYNC_ARTIFACTS
+    return [prefix + name for name in names]
+
+
+def _read(
+    result: FlowResult, prefix: str, names: Tuple[str, ...]
+) -> Dict[str, Any]:
+    return {name: result.artifacts.get(prefix + name) for name in names}
+
+
 def _tolerated(result: FlowResult, prefix: str = "") -> Dict[str, str]:
     """Backend stages may fail gracefully; everything else raises."""
     backend_stages = {prefix + "pnr", prefix + "report.layout"}
@@ -281,24 +324,22 @@ def _assemble_synchronous(
     result: FlowResult,
     prefix: str = "",
 ) -> ImplementationResult:
-    artifacts = result.artifacts
     failures = _tolerated(result, prefix)
-    final = artifacts.get(prefix + "module.layout") or artifacts.get(
-        prefix + "module.scan"
-    )
+    got = _read(result, prefix, SYNC_ARTIFACTS)
+    final = got["module.layout"] or got["module.scan"]
     if final is not None and final is not module:
         module.copy_from(final)
     out = ImplementationResult(
         module,
         library,
         gatefile,
-        artifacts[prefix + "post_synthesis"],
-        scan=artifacts.get(prefix + "scan"),
+        got["post_synthesis"],
+        scan=got["scan"],
         failures=failures,
     )
-    out.min_period = artifacts.get(prefix + "min_period")
-    out.backend = artifacts.get(prefix + "backend")
-    out.post_layout = artifacts.get(prefix + "post_layout")
+    out.min_period = got["min_period"]
+    out.backend = got["backend"]
+    out.post_layout = got["post_layout"]
     return out
 
 
@@ -308,23 +349,23 @@ def _assemble_desynchronized(
     result: FlowResult,
     prefix: str = "",
 ) -> ImplementationResult:
-    artifacts = result.artifacts
     failures = _tolerated(result, prefix)
-    desync = tool.assemble_result(module, artifacts, prefix=prefix)
-    final = artifacts.get(prefix + "module.layout")
+    desync = tool.assemble_result(module, result.artifacts, prefix=prefix)
+    got = _read(result, prefix, DESYNC_ARTIFACTS)
+    final = got["module.layout"]
     if final is not None and final is not module:
         module.copy_from(final)
     out = ImplementationResult(
         module,
         tool.library,
         tool.gatefile,
-        artifacts[prefix + "post_synthesis"],
-        scan=artifacts.get(prefix + "scan"),
+        got["post_synthesis"],
+        scan=got["scan"],
         desync=desync,
         failures=failures,
     )
-    out.backend = artifacts.get(prefix + "backend")
-    out.post_layout = artifacts.get(prefix + "post_layout")
+    out.backend = got["backend"]
+    out.post_layout = got["post_layout"]
     return out
 
 
@@ -351,6 +392,7 @@ def implement_synchronous(
             graph,
             initial={"module.input": module},
             label=f"sync:{module.name}",
+            load=_to_load("", desync=False),
         )
         out = _assemble_synchronous(module, library, gatefile, result)
         span.set("failures", len(out.failures))
@@ -388,6 +430,7 @@ def implement_desynchronized(
             graph,
             initial={"module.input": module},
             label=f"desync:{module.name}",
+            load=_to_load("", desync=True),
         )
         out = _assemble_desynchronized(module, tool, result)
         span.set("failures", len(out.failures))
@@ -453,6 +496,8 @@ def implement_comparison(
                 "desync:module.input": desync_module,
             },
             label=f"compare:{design_name}",
+            load=_to_load("sync:", desync=False)
+            + _to_load("desync:", desync=True),
         )
         sync = _assemble_synchronous(
             sync_module, library, gatefile, result, prefix="sync:"

@@ -111,6 +111,7 @@ def simplify_names(module: Module) -> int:
                 break
         module.rename_net(name, fresh)
         renames += 1
+    renamed: Dict[str, str] = {}
     for name in list(module.instances):
         if _CLEAN_NAME_RE.match(name):
             continue
@@ -122,17 +123,27 @@ def simplify_names(module: Module) -> int:
         inst = module.instances.pop(name)
         inst.name = fresh
         module.instances[fresh] = inst
-        for pin, net_name in inst.pins.items():
+        renamed[name] = fresh
+    if renamed:
+        # one rebuild per touched net, keeping every pin's position; a
+        # rebuild per renamed pin is quadratic on a shared clock net
+        touched = {
+            net
+            for fresh in renamed.values()
+            for net in module.instances[fresh].pins.values()
+        }
+        for net_name in touched:
             net = module.nets[net_name]
-            net.connections = [
-                PinRef(fresh, c.pin) if c.instance == name else c
+            net.connections = {
+                PinRef(renamed[c.instance], c.pin)
+                if c.instance in renamed
+                else c: None
                 for c in net.connections
-            ]
+            }
         # connections were rewritten directly, bypassing the mutation
         # hooks: any live ConnectivityIndex must drop its cache
         module.invalidate_indexes()
-        renames += 1
-    return renames
+    return renames + len(renamed)
 
 
 def _single_input_output(

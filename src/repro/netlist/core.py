@@ -14,7 +14,11 @@ reads and rewrites it.  The model is deliberately simple and scalar:
   ``pin_direction(cell, pin)``.
 - Connectivity is bidirectional: instances know their pin->net bindings
   and nets know every (instance, pin) attached to them, so both forward
-  and backward traversals are O(fanout).
+  and backward traversals are O(fanout).  A net's pins form an
+  insertion-ordered set (a ``dict`` with ``None`` values): attaching or
+  detaching one pin is O(1) however large the fanout, and iteration
+  follows connect order, which driver lookup, timing-load summation and
+  enable-tree clustering rely on for reproducible output.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 
 class PortDirection(Enum):
@@ -58,12 +64,12 @@ def bus_index(net_name: str) -> Optional[int]:
     return int(match.group("index"))
 
 
-@dataclass(frozen=True)
-class PinRef:
+class PinRef(NamedTuple):
     """A reference to one pin of one instance (or a top-level port).
 
     ``instance`` is ``None`` for module port pins, in which case ``pin``
-    is the port (bit) name.
+    is the port (bit) name.  A tuple, so hashing and equality run in C:
+    nets key their pin sets on these.
     """
 
     instance: Optional[str]
@@ -104,15 +110,24 @@ class Port:
 
 
 class Net:
-    """A single-bit net with bidirectional connectivity."""
+    """A single-bit net with bidirectional connectivity.
+
+    ``connections`` is an insertion-ordered set of the pins on the net:
+    a ``dict`` keyed by :class:`PinRef` with ``None`` values.  Iterate
+    it like a list; edit it only through :class:`Module`.
+    """
 
     __slots__ = ("name", "connections", "is_constant", "constant_value")
+    name: str
+    connections: Dict[PinRef, None]
+    is_constant: bool
+    constant_value: Optional[int]
 
     def __init__(self, name: str):
         self.name = name
-        self.connections: List[PinRef] = []
+        self.connections = {}
         self.is_constant = False
-        self.constant_value: Optional[int] = None
+        self.constant_value = None
 
     def __repr__(self) -> str:
         return f"Net({self.name!r}, {len(self.connections)} pins)"
@@ -122,14 +137,18 @@ class Instance:
     """One cell (or submodule) instantiation inside a module."""
 
     __slots__ = ("name", "cell", "pins", "attributes")
+    name: str
+    cell: str
+    pins: Dict[str, str]
+    attributes: Dict[str, object]
 
     def __init__(self, name: str, cell: str):
         self.name = name
         self.cell = cell
         #: pin name -> net name
-        self.pins: Dict[str, str] = {}
+        self.pins = {}
         #: free-form annotations (e.g. ``size_only``, region id, dont_touch)
-        self.attributes: Dict[str, object] = {}
+        self.attributes = {}
 
     def __repr__(self) -> str:
         return f"Instance({self.name!r}, cell={self.cell!r})"
@@ -303,7 +322,7 @@ class Module:
         self.ports[name] = port
         for bit in port.bit_names():
             net = self.ensure_net(bit)
-            net.connections.append(PinRef(None, bit))
+            net.connections[PinRef(None, bit)] = None
             self._note_dirty("net", bit)
         self._mutations += 1
         return port
@@ -359,20 +378,27 @@ class Module:
             self.disconnect(instance, pin)
         net = self.ensure_net(net_name)
         inst.pins[pin] = net_name
-        net.connections.append(PinRef(instance, pin))
+        net.connections[PinRef(instance, pin)] = None
         self._mutations += 1
         self._note_dirty("net", net_name)
         self._note_dirty("cell", instance)
 
     def disconnect(self, instance: str, pin: str) -> None:
+        """Unbind ``instance.pin`` (a no-op when the pin is unbound)."""
         inst = self.instances[instance]
-        net_name = inst.pins.pop(pin, None)
+        net_name = inst.pins.get(pin)
         if net_name is None:
             return
         net = self.nets.get(net_name)
         if net is not None:
-            ref = PinRef(instance, pin)
-            net.connections = [c for c in net.connections if c != ref]
+            try:
+                del net.connections[PinRef(instance, pin)]
+            except KeyError:
+                raise NetlistError(
+                    f"{instance}.{pin} is bound to net {net_name!r} but "
+                    "missing from its connections"
+                ) from None
+        del inst.pins[pin]
         self._mutations += 1
         self._note_dirty("net", net_name)
         self._note_dirty("cell", instance)
@@ -431,9 +457,9 @@ class Module:
                 )
             inst = self.instances[ref.instance]
             inst.pins[ref.pin] = keep
-            kept.connections.append(PinRef(ref.instance, ref.pin))
+            kept.connections[ref] = None
             self._note_dirty("cell", ref.instance)
-        gone.connections = []
+        gone.connections = {}
         del self.nets[remove]
         self._mutations += 1
         self._note_dirty("net", keep)
@@ -494,7 +520,7 @@ class Module:
             )
         for net in self.nets.values():
             copy_net = Net(net.name)
-            copy_net.connections = list(net.connections)
+            copy_net.connections = dict(net.connections)
             copy_net.is_constant = net.is_constant
             copy_net.constant_value = net.constant_value
             out.nets[net.name] = copy_net

@@ -251,13 +251,9 @@ class VerilogParser:
                 port.direction = direction
                 port.msb, port.lsb = msb, lsb
                 for bit in port.bit_names():
+                    # a pin set: re-declaring a port adds no second pin
                     net = module.ensure_net(bit)
-                    already = any(
-                        c.instance is None and c.pin == bit
-                        for c in net.connections
-                    )
-                    if not already:
-                        net.connections.append(PinRef(None, bit))
+                    net.connections[PinRef(None, bit)] = None
             else:
                 module.add_port(name, direction, msb, lsb)
 

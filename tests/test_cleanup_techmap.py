@@ -86,14 +86,27 @@ def test_simplify_names_rewrites_escaped_identifiers():
       wire \data.bus<3> ;
       BUFX1 \u/buf1 (.A(a), .Z(\data.bus<3> ));
       INVX1 u2 (.A(\data.bus<3> ), .Z(y));
+      INVX1 u3 (.A(a), .Z(n3));
+      INVX1 \u/inv4 (.A(a), .Z(n4));
     endmodule
     """
     mod = parse_verilog(text).top
     renames = simplify_names(mod)
-    assert renames == 2
+    assert renames == 3
     assert "data.bus<3>" not in mod.nets
     assert all("/" not in name for name in mod.instances)
     assert mod.check() == []
+    # renamed pins keep their place on the shared net
+    def instance_driving(net):
+        return next(
+            name for name, inst in mod.instances.items()
+            if inst.pins.get("Z") == net
+        )
+
+    buf1, inv4 = instance_driving(mod.net_of("u2", "A")), instance_driving("n4")
+    assert [ref.instance for ref in mod.nets["a"].connections] == [
+        None, buf1, "u3", inv4
+    ]
 
 
 def test_simplify_names_never_touches_ports():

@@ -309,3 +309,164 @@ def test_render_report_and_stats(lib, tmp_path):
     assert stats["runs"] == 1
     assert set(stats["stages"]) == set(DESYNC_STAGES)
     assert stats["cache"]["misses"] == len(DESYNC_STAGES)
+
+
+# ---------------------------------------------------------------------------
+# damaged and stale cache entries
+
+
+def test_layout_stamp_covers_every_pickled_class(lib, tmp_path, monkeypatch):
+    """Every repro class inside a cache entry is in the layout stamp."""
+    import io
+    import pickle
+
+    from repro.engine import cache as cache_mod
+    from repro.flow import implement_desynchronized
+
+    seen = set()
+
+    class Collector(pickle.Pickler):
+        def reducer_override(self, obj):
+            seen.add(type(obj))
+            return NotImplemented
+
+    put = ArtifactCache.put
+
+    def spy(self, key, value):
+        Collector(io.BytesIO(), pickle.HIGHEST_PROTOCOL).dump(value)
+        return put(self, key, value)
+
+    monkeypatch.setattr(ArtifactCache, "put", spy)
+    implement_desynchronized(
+        figure22_circuit(lib), lib, engine=make_engine(tmp_path)
+    )
+    pickled = {cls for cls in seen if cls.__module__.startswith("repro.")}
+    covered = {
+        item if isinstance(item, type) else type(item)
+        for item in cache_mod._pickled_layouts()
+    }
+    assert pickled and pickled <= covered, sorted(
+        cls.__qualname__ for cls in pickled - covered
+    )
+
+
+def test_unusable_manifests_are_rejected_misses(tmp_path):
+    import pickle
+
+    from repro.engine.cache import layout_stamp
+
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    keys = [f"{n:02d}" + "a" * 62 for n in range(4)]
+    for key in keys:
+        assert cache.put(key, {"x": [key]})
+    foreign, torn, bad_blob, _good = (cache._path(key) for key in keys)
+    with open(foreign, "rb") as handle:
+        manifest = pickle.load(handle)
+    assert manifest["layout"] == layout_stamp()
+    manifest["layout"] = "0" * 16
+    with open(foreign, "wb") as handle:
+        pickle.dump(manifest, handle)
+    with open(torn, "r+b") as handle:
+        handle.truncate(10)
+    with open(bad_blob, "rb") as handle:
+        manifest = pickle.load(handle)
+    # an inline artifact naming a class that no longer exists
+    manifest["inline"]["x"] = b"\x80\x04cnosuchmodule_xyz\nT\n."
+    with open(bad_blob, "wb") as handle:
+        pickle.dump(manifest, handle)
+
+    found = [cache.get(key) for key in keys]
+    assert found == [None, None, None, {"x": [keys[3]]}]
+    assert cache.get("ff" + "f" * 62) is None  # absent: a plain miss
+    assert (cache.stats.hits, cache.stats.misses) == (1, 4)
+    assert cache.stats.rejected == 3
+
+
+def test_damaged_sidecar_raises_typed_error_and_evicts(tmp_path, monkeypatch):
+    from repro.engine import cache as cache_mod
+    from repro.engine.cache import CacheEntryError
+
+    monkeypatch.setattr(cache_mod, "INLINE_LIMIT", 0)
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    key, other = "ab" + "1" * 62, "ab" + "2" * 62
+    assert cache.put(key, {"big": list(range(100)), "more": "x"})
+    assert cache.put(other, {"big": 1})
+    lazy = cache.get_lazy(key)["big"]
+    with open(lazy.path, "r+b") as handle:
+        handle.truncate(5)
+    with pytest.raises(CacheEntryError) as caught:
+        lazy.load()
+    assert caught.value.key == key
+    assert cache.evict(key) == 3  # the manifest and both sidecars
+    assert cache.get(key) is None
+    assert cache.get(other) == {"big": 1}
+    assert cache.stats.evictions == 1
+
+
+def test_engine_reruns_past_damaged_sidecars(lib, tmp_path, monkeypatch):
+    """Every sidecar truncated: each is evicted and recomputed once."""
+    from repro.engine import cache as cache_mod
+    from repro.netlist import write_verilog, Netlist
+
+    def convert(engine):
+        module = pipeline3(lib)
+        result = run_desync(lib, engine, module)
+        netlist = Netlist()
+        netlist.add_module(result.module)
+        return write_verilog(netlist), result.export_sdc()
+
+    monkeypatch.setattr(cache_mod, "INLINE_LIMIT", 0)
+    reference = convert(FlowEngine())
+    assert convert(make_engine(tmp_path)) == reference
+    sidecars = [
+        path for path in (tmp_path / "cache").rglob("*.pkl")
+        if "." in path.stem
+    ]
+    assert sidecars
+    for path in sidecars:
+        path.write_bytes(path.read_bytes()[:20])
+    journal = RunJournal()
+    engine = FlowEngine(
+        cache=ArtifactCache(str(tmp_path / "cache")), journal=journal
+    )
+    assert convert(engine) == reference
+    evicted = journal.select("cache_evict")
+    assert evicted and len(evicted) == engine.cache.stats.evictions
+    assert len({event["key"] for event in evicted}) == len(evicted)
+    assert len(engine.results) == 1 and engine.results[0].ok
+
+
+def test_flows_rerun_past_damaged_sidecars(lib, tmp_path, monkeypatch):
+    """The implementation flows load what their results read inside the
+    engine, so torn sidecars only their results read (P&R's layout and
+    reports) are recomputed as well."""
+    from repro.engine import cache as cache_mod
+    from repro.flow.implementation import implement_comparison
+    from repro.netlist import write_verilog, Netlist
+
+    def compare(engine):
+        sync, desync, table = implement_comparison(
+            "fig22", figure22_circuit(lib), figure22_circuit(lib), lib,
+            engine=engine,
+        )
+        netlists = []
+        for impl in (sync, desync):
+            netlist = Netlist()
+            netlist.add_module(impl.module)
+            netlists.append(write_verilog(netlist))
+        return netlists, desync.desync.export_sdc(), table.as_dict()
+
+    monkeypatch.setattr(cache_mod, "INLINE_LIMIT", 0)
+    reference = compare(FlowEngine())
+    assert compare(make_engine(tmp_path)) == reference
+    sidecars = list((tmp_path / "cache").rglob("*.*.pkl"))
+    assert sidecars
+    for path in sidecars:
+        path.write_bytes(path.read_bytes()[:20])
+    journal = RunJournal()
+    engine = FlowEngine(
+        cache=ArtifactCache(str(tmp_path / "cache")), journal=journal
+    )
+    assert compare(engine) == reference
+    assert journal.select("cache_evict")
+    assert len(engine.results) == 1 and engine.results[0].ok

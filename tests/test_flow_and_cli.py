@@ -91,6 +91,7 @@ def test_cli_end_to_end(lib, tmp_path):
         "--sdc", str(out_sdc),
         "--blif", str(out_blif),
         "--gatefile", str(out_gf),
+        "--cache-dir", str(tmp_path / "cache"),
         "--quiet",
     ])
     assert code == 0
@@ -112,7 +113,7 @@ def test_cli_single_region_and_margin(lib, tmp_path):
     out_v = tmp_path / "out.v"
     code = cli_main([
         str(src), "-o", str(out_v), "--group", "single",
-        "--margin", "0.3", "--quiet",
+        "--margin", "0.3", "--cache-dir", str(tmp_path / "cache"), "--quiet",
     ])
     assert code == 0
     assert out_v.exists()
@@ -191,3 +192,52 @@ def test_cli_cache_journal_jobs_round_trip(lib, tmp_path):
     assert {e["stage"] for e in hits} == {
         "import", "group", "ffsub", "ddg", "delays", "network", "constraints"
     }
+
+
+@pytest.mark.parametrize("damage", ["foreign-stamp", "truncated-sidecar"])
+def test_cli_damaged_cache_matches_no_cache_run(lib, tmp_path, monkeypatch,
+                                                damage):
+    """Entries from another class layout, or with torn sidecars, are
+    recomputed: exit 0 and the same bytes as a ``--no-cache`` run."""
+    import pickle
+
+    from repro.engine import cache as cache_mod, read_journal
+
+    # every artifact in a sidecar of its own, so each can be torn
+    monkeypatch.setattr(cache_mod, "INLINE_LIMIT", 0)
+    src = _write_design(lib, tmp_path)
+
+    def convert(tag, *flags):
+        out_v, out_sdc = tmp_path / f"{tag}.v", tmp_path / f"{tag}.sdc"
+        argv = [str(src), "-o", str(out_v), "--sdc", str(out_sdc), *flags]
+        assert cli_main(argv + ["--quiet"]) == 0
+        return out_v.read_bytes(), out_sdc.read_bytes()
+
+    reference = convert("reference", "--no-cache")
+    cache_dir = tmp_path / "cache"
+    journal = tmp_path / "warm.jsonl"
+    assert convert("cold", "--cache-dir", str(cache_dir)) == reference
+    files = sorted(cache_dir.rglob("*.pkl"))
+    manifests = [path for path in files if "." not in path.stem]
+    sidecars = [path for path in files if "." in path.stem]
+    assert manifests and sidecars
+    if damage == "foreign-stamp":
+        for path in manifests:
+            manifest = pickle.loads(path.read_bytes())
+            manifest["layout"] = "0" * 16
+            path.write_bytes(pickle.dumps(manifest))
+    else:
+        for path in sidecars:
+            path.write_bytes(path.read_bytes()[:40])
+
+    warm = convert(
+        "warm", "--cache-dir", str(cache_dir), "--journal", str(journal)
+    )
+    assert warm == reference
+    events = read_journal(str(journal))
+    if damage == "foreign-stamp":
+        stages = [e for e in events if e["event"] == "stage_end"]
+        assert stages and all(e["cache"] == "miss" for e in stages)
+        assert events[-1]["cache_stats"]["rejected"] == len(stages)
+    else:
+        assert [e for e in events if e["event"] == "cache_evict"]

@@ -494,7 +494,8 @@ def test_cli_eco_round_trip(tmp_path):
     out_sdc = tmp_path / "out.sdc"
     code = cli_main([
         str(src), "--eco", str(edits), "--eco-verify", "affected",
-        "-o", str(out_v), "--sdc", str(out_sdc), "--quiet",
+        "-o", str(out_v), "--sdc", str(out_sdc),
+        "--cache-dir", str(tmp_path / "cache"), "--quiet",
     ])
     assert code == 0
     # parity against the from-scratch flow over the same parsed input

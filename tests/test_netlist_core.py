@@ -96,6 +96,16 @@ def test_reconnect_pin_replaces_old_binding():
     assert mod.check() == []
 
 
+def test_disconnect_of_unlisted_binding_raises():
+    mod = build_simple_module()
+    # a binding its net does not list (a direct rewrite gone wrong)
+    del mod.nets["n1"].connections[PinRef("u2", "A")]
+    with pytest.raises(NetlistError, match=r"u2\.A .*'n1'"):
+        mod.disconnect("u2", "A")
+    assert mod.net_of("u2", "A") == "n1"  # left as it was
+    mod.disconnect("u2", "B")  # an unbound pin is still a no-op
+
+
 def test_merge_nets_moves_connections():
     mod = build_simple_module()
     mod.ensure_net("alias")

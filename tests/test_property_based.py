@@ -11,7 +11,7 @@ selection monotonicity the flow relies on.
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.desync import build_cmuller, choose_length, mux_selection_delay
@@ -26,7 +26,13 @@ from repro.liberty.functions import (
     expr_to_text,
     parse_function,
 )
-from repro.netlist import Module, PortDirection, parse_verilog, write_verilog
+from repro.netlist import (
+    Module,
+    PinRef,
+    PortDirection,
+    parse_verilog,
+    write_verilog,
+)
 from repro.sim import Simulator
 from repro.stg import (
     NON_OVERLAPPING,
@@ -45,7 +51,9 @@ LIB = core9_hs()
 
 edit_ops = st.lists(
     st.tuples(
-        st.sampled_from(["connect", "disconnect", "add", "remove"]),
+        st.sampled_from(
+            ["connect", "disconnect", "add", "remove", "merge", "rename"]
+        ),
         st.integers(0, 7),
         st.integers(0, 7),
     ),
@@ -55,21 +63,56 @@ edit_ops = st.lists(
 
 
 @given(edit_ops)
+# always run: a merge into a net that already has pins, then a rename
+@example([("add", 1, 2), ("add", 3, 4), ("merge", 2, 3), ("rename", 2, 5)])
 @settings(max_examples=60, deadline=None)
 def test_netlist_stays_consistent_under_edits(ops):
+    """Edits keep both directions consistent and every net's pins in
+    the order of a plain-list model: append on connect, filter on
+    disconnect.  Byte-identical outputs rest on that order."""
     module = Module("m")
     module.add_port("p0", PortDirection.INPUT)
-    for index, (op, a, b) in enumerate(ops):
+    model = {"p0": [PinRef(None, "p0")]}
+
+    def attach(inst, pin, net):
+        model.setdefault(net, []).append(PinRef(inst, pin))
+
+    def detach(inst, pin):
+        net = module.instances[inst].pins.get(pin)
+        if net is not None:
+            model[net] = [ref for ref in model[net] if ref != (inst, pin)]
+
+    for op, a, b in ops:
         inst_name = f"u{a}"
         if op == "add" and inst_name not in module.instances:
             module.add_instance(inst_name, "INVX1", {"A": f"n{a}", "Z": f"n{b}"})
+            attach(inst_name, "A", f"n{a}")
+            attach(inst_name, "Z", f"n{b}")
         elif op == "remove":
+            if inst_name in module.instances:
+                for pin in list(module.instances[inst_name].pins):
+                    detach(inst_name, pin)
             module.remove_instance(inst_name)
         elif op == "connect" and inst_name in module.instances:
+            detach(inst_name, "A")
             module.connect(inst_name, "A", f"n{b}")
+            attach(inst_name, "A", f"n{b}")
         elif op == "disconnect" and inst_name in module.instances:
+            detach(inst_name, "A")
             module.disconnect(inst_name, "A")
-    assert module.check() == []
+        elif op == "merge" and f"n{b}" in module.nets:
+            module.merge_nets(f"n{a}", f"n{b}")
+            if a != b:
+                model.setdefault(f"n{a}", []).extend(model.pop(f"n{b}"))
+        elif op == "rename" and f"n{a}" in module.nets and (
+            f"n{b}" not in module.nets
+        ):
+            module.rename_net(f"n{a}", f"n{b}")
+            model[f"n{b}"] = model.pop(f"n{a}")
+        assert module.check() == []
+        assert {
+            name: list(net.connections) for name, net in module.nets.items()
+        } == model
 
 
 @given(
