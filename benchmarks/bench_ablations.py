@@ -17,9 +17,8 @@ and later runs start from the engine cache.
 
 from conftest import emit, run_once
 
-import networkx as nx
-
 from repro.desync import DesyncOptions, Drdesync
+from repro.desync.ddg import DiGraph
 from repro.designs import figure22_circuit
 from repro.flow import area_report
 from repro.liberty import build_gatefile
@@ -162,7 +161,7 @@ def test_ablation_protocol_concurrency(benchmark, hs_library):
             # concurrency factor: fraction of the handshake the control
             # can overlap with computation (normalised to the ladder)
             overlap = min(1.0, states / 10.0)
-            graph = nx.DiGraph()
+            graph = DiGraph()
             stages = 4
             for index in range(stages):
                 succ = (index + 1) % stages

@@ -10,10 +10,9 @@ prints the recovered region structure and data-dependency graph.
 
 from conftest import emit, run_once
 
-import networkx as nx
-
 from repro.desync import Drdesync, fanin_fanout
 from repro.designs import dlx_core
+from repro.perf import simple_cycles
 
 
 def test_fig_5_2_dlx_regions(benchmark, hs_library):
@@ -62,4 +61,4 @@ def test_fig_5_2_dlx_regions(benchmark, hs_library):
         assert (name, "slave") in result.network.controllers
     # the PC loop shows up as a DDG cycle
     core = result.ddg.subgraph(n for n in result.ddg if n != "ENV")
-    assert any(True for _ in nx.simple_cycles(core))
+    assert any(True for _ in simple_cycles(core))

@@ -19,23 +19,9 @@ Quick start::
     result = Drdesync(library).run(design)
     print(result.summary())
     print(result.export_sdc())
+
+Importing ``repro`` loads no subpackage: each is imported where it is
+used, so ``import repro.cli`` loads only what a conversion runs.
 """
 
 __version__ = "1.11.0"
-
-from . import obs  # noqa: F401
-from . import netlist  # noqa: F401
-from . import liberty  # noqa: F401
-from . import sta  # noqa: F401
-from . import stg  # noqa: F401
-from . import desync  # noqa: F401
-from . import engine  # noqa: F401
-from . import dft  # noqa: F401
-from . import sim  # noqa: F401
-from . import physical  # noqa: F401
-from . import power  # noqa: F401
-from . import variability  # noqa: F401
-from . import perf  # noqa: F401
-from . import designs  # noqa: F401
-from . import flow  # noqa: F401
-from . import service  # noqa: F401

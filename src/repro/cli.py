@@ -27,7 +27,10 @@ The conversion runs on the :mod:`repro.engine` flow engine: stage
 results are cached content-addressed under ``--cache-dir`` (default
 ``.repro_cache``; disable with ``--no-cache``), ``--jobs N`` runs
 independent stages on a thread pool, and ``--journal`` records the
-per-stage JSONL run journal.
+per-stage JSONL run journal.  The input is keyed on its bytes and
+parsed only when the ``import`` stage misses, and an ``export`` stage
+caches the output texts, so a re-run on a filled cache writes them
+without loading a netlist snapshot.
 
 Observability (:mod:`repro.obs`): ``--trace FILE`` records hierarchical
 spans for every engine stage and pipeline phase and writes them as
@@ -52,32 +55,31 @@ cross-validation against the analytic effective-period model.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
+import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .desync.tool import DesyncOptions, Drdesync
-from .engine.cache import ArtifactCache
+from .desync.tool import (
+    EXPORT_ARTIFACTS,
+    RESULT_ARTIFACTS,
+    DesyncOptions,
+    Drdesync,
+    export_outputs,
+    export_stage,
+)
+from .engine.cache import ArtifactCache, DeferredArtifact, stable_hash
 from .engine.executor import FlowEngine
+from .engine.graph import FlowGraph
 from .engine.journal import RunJournal
 from .liberty.core9 import core9_hs, core9_ll
 from .liberty.parser import read_liberty
+from .netlist.core import Module
 from .netlist.verilog import read_verilog
-from .obs import (
-    MetricsRegistry,
-    Profiler,
-    Tracer,
-    configure_logging,
-    metrics,
-    prof,
-    profile_report,
-    summary_report,
-    trace,
-    write_chrome_trace,
-    write_metrics,
-    write_profile,
-)
+from .obs import metrics, prof, trace
+from .obs.logsetup import configure_logging
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -269,21 +271,17 @@ def resolve_log_level(args: argparse.Namespace) -> str:
     return "info"
 
 
-def _print_summary(result, module, engine, cache) -> None:
-    summary = result.summary()
-    log.info("desynchronized %r:", module.name)
-    for key, value in summary.items():
+def _print_summary(summary: Dict[str, Any], engine, cache) -> None:
+    log.info("desynchronized %r:", summary["design"])
+    for key, value in summary["counts"].items():
         log.info("  %-22s %s", key, value)
-    for region, delay in sorted(result.network.region_delays.items()):
-        element = result.network.delay_elements.get(region)
-        if element is not None:
-            log.info(
-                "  region %-8s cloud delay %7.3f ns, "
-                "delay element %d levels",
-                region,
-                delay,
-                element.length,
-            )
+    for region, delay, length in summary["delay_elements"]:
+        log.info(
+            "  region %-8s cloud delay %7.3f ns, delay element %d levels",
+            region,
+            delay,
+            length,
+        )
     if not engine.results:
         # incremental (--eco) runs bypass the stage engine
         return
@@ -342,17 +340,116 @@ def _observe_result(args: argparse.Namespace, result, library) -> None:
         )
 
 
+def _read_input(args: argparse.Namespace) -> Module:
+    log.debug("reading %s", args.input)
+    netlist = read_verilog(args.input)
+    if args.top:
+        netlist.set_top(args.top)
+    return netlist.top
+
+
+def _input_artifact(args: argparse.Namespace) -> DeferredArtifact:
+    """The input netlist, parsed only if the ``import`` stage runs.
+
+    Keyed on the file's bytes and ``--top`` (``stable_hash`` adds the
+    cache schema): equal bytes parse to equal netlists for as long as
+    the Verilog reader's output stays the same.
+    """
+    with open(args.input, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    return DeferredArtifact(
+        lambda: _read_input(args),
+        stable_hash(("verilog-file", digest, args.top)),
+    )
+
+
+def _convert(args: argparse.Namespace, tool: Drdesync, options):
+    """Run the stage graph ending in ``export``; returns (result,
+    exported outputs).
+
+    Only the exported texts are read back, so a run whose every stage
+    hits the cache loads no netlist snapshot.  ``--vcd`` and
+    ``--handshake-report`` simulate the result and load it too.
+    """
+    graph = FlowGraph("drdesync")
+    graph.add_stages(tool.build_stages(options))
+    graph.add(export_stage(blif=bool(args.blif)))
+    observe = bool(args.vcd or args.handshake_report)
+    run = tool.engine.run(
+        graph,
+        initial={"module.input": _input_artifact(args)},
+        label=f"drdesync:{os.path.basename(args.input)}",
+        load=EXPORT_ARTIFACTS + (RESULT_ARTIFACTS if observe else ()),
+    )
+    run.raise_first_failure()
+    outputs = {name: run.artifacts[name] for name in EXPORT_ARTIFACTS}
+    result = None
+    if observe:
+        result = tool.assemble_result(
+            run.artifacts["module.network"], run.artifacts
+        )
+    return result, outputs
+
+
+def _run_eco(args: argparse.Namespace, library, options, cache):
+    """Run the flow through an incremental session, then apply the
+    ``--eco`` edits; returns (result, exported outputs)."""
+    from .flow.incremental import IncrementalSession, load_edits
+
+    edits = load_edits(args.eco)
+    session = IncrementalSession(library, options, cache=cache)
+    session.start(_read_input(args))
+    outcome = session.apply(edits, verify=args.eco_verify)
+    result = outcome.result
+    reused = sorted(stage for stage, hit in outcome.reused.items() if hit)
+    log.info(
+        "eco: %d edit(s) applied via the %s path; reused stages: %s",
+        len(edits),
+        outcome.path,
+        ", ".join(reused) or "none",
+    )
+    if outcome.report is not None:
+        log.info(
+            "eco verification: %d region(s) re-simulated%s",
+            len(outcome.verified_regions),
+            f", error: {outcome.report['error']}"
+            if outcome.report.get("error")
+            else "",
+        )
+    outputs = export_outputs(
+        result.module,
+        result.sdc,
+        result.network,
+        result.region_map,
+        result.substitution,
+        blif=bool(args.blif),
+    )
+    return result, outputs
+
+
+def _write_outputs(
+    args: argparse.Namespace, tool: Drdesync, outputs: Dict[str, Any]
+) -> None:
+    if args.gatefile:
+        with open(args.gatefile, "w") as handle:
+            handle.write(tool.gatefile.to_text())
+    if args.output:
+        log.debug("writing Verilog to %s", args.output)
+        with open(args.output, "w") as handle:
+            handle.write(outputs["verilog"])
+    if args.blif:
+        with open(args.blif, "w") as handle:
+            handle.write(outputs["blif"])
+    if args.sdc:
+        with open(args.sdc, "w") as handle:
+            handle.write(outputs["sdc.text"])
+
+
 def _run_flow(args: argparse.Namespace) -> int:
     if args.liberty:
         library = read_liberty(args.liberty)
     else:
         library = core9_hs() if args.library == "hs" else core9_ll()
-
-    log.debug("reading %s", args.input)
-    netlist = read_verilog(args.input)
-    if args.top:
-        netlist.set_top(args.top)
-    module = netlist.top
 
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     journal = RunJournal(args.journal) if args.journal else RunJournal()
@@ -362,15 +459,15 @@ def _run_flow(args: argparse.Namespace) -> int:
     # artifact carries both the stage records and the timing tree
     tracer = None
     if args.trace:
-        tracer = Tracer(journal=journal if args.journal else None)
+        tracer = trace.Tracer(journal=journal if args.journal else None)
         trace.set_tracer(tracer)
     registry = None
     if args.metrics:
-        registry = MetricsRegistry()
+        registry = metrics.MetricsRegistry()
         metrics.set_registry(registry)
     profiler = None
     if args.profile or args.profile_out:
-        profiler = Profiler(enabled=True)
+        profiler = prof.Profiler(enabled=True)
         prof.set_profiler(profiler)
 
     tool = Drdesync(library, engine=engine)
@@ -382,80 +479,18 @@ def _run_flow(args: argparse.Namespace) -> int:
     )
     try:
         if args.eco:
-            from .flow.incremental import IncrementalSession, load_edits
-
-            edits = load_edits(args.eco)
-            session = IncrementalSession(library, options, cache=cache)
-            result = session.start(module)
-            outcome = session.apply(edits, verify=args.eco_verify)
-            result = outcome.result
-            reused = sorted(
-                stage for stage, hit in outcome.reused.items() if hit
-            )
-            log.info(
-                "eco: %d edit(s) applied via the %s path; reused "
-                "stages: %s",
-                len(edits),
-                outcome.path,
-                ", ".join(reused) or "none",
-            )
-            if outcome.report is not None:
-                log.info(
-                    "eco verification: %d region(s) re-simulated%s",
-                    len(outcome.verified_regions),
-                    f", error: {outcome.report['error']}"
-                    if outcome.report.get("error")
-                    else "",
-                )
+            result, outputs = _run_eco(args, library, options, cache)
         else:
-            result = tool.run(module, options)
-
-        if args.gatefile:
-            with open(args.gatefile, "w") as handle:
-                handle.write(tool.gatefile.to_text())
-        if args.output:
-            log.debug("writing Verilog to %s", args.output)
-            with open(args.output, "w") as handle:
-                handle.write(result.export_verilog())
-        if args.blif:
-            with open(args.blif, "w") as handle:
-                handle.write(result.export_blif())
-        if args.sdc:
-            with open(args.sdc, "w") as handle:
-                handle.write(result.export_sdc())
+            result, outputs = _convert(args, tool, options)
+        _write_outputs(args, tool, outputs)
+        summary = outputs["summary"]
 
         if registry is not None:
-            for key, value in result.summary().items():
+            for key, value in summary["counts"].items():
                 if isinstance(value, (int, float)):
                     metrics.gauge(f"desync.summary.{key}").set(value)
-        if tracer is not None:
-            write_chrome_trace(args.trace, tracer)
-            log.info("trace written to %s (%d spans)", args.trace, len(tracer))
-            log.debug("span summary:\n%s", summary_report(tracer))
-        if registry is not None:
-            write_metrics(args.metrics, registry)
-            log.info(
-                "metrics written to %s (%d instruments)",
-                args.metrics,
-                len(registry),
-            )
-        if profiler is not None:
-            overhead = profiler.overhead_estimate()
-            log.info(
-                "profiled %d stage(s) (machinery overhead %.4fs, "
-                "%.2f%% of profiled wall)",
-                len(profiler),
-                overhead["machinery_s"],
-                100.0 * overhead["fraction"],
-            )
-            if args.profile_out:
-                paths = write_profile(
-                    args.profile_out, profiler, name=module.name
-                )
-                for kind in sorted(paths):
-                    log.info("profile %s written to %s", kind, paths[kind])
-            else:
-                log.debug("profile report:\n%s", profile_report(profiler))
+        if tracer is not None or registry is not None or profiler is not None:
+            _write_observations(args, tracer, registry, profiler, summary)
 
         if args.vcd or args.handshake_report:
             _observe_result(args, result, library)
@@ -468,8 +503,48 @@ def _run_flow(args: argparse.Namespace) -> int:
         if profiler is not None:
             prof.reset_profiler()
 
-    _print_summary(result, module, engine, cache)
+    _print_summary(summary, engine, cache)
     return EXIT_OK
+
+
+def _write_observations(args, tracer, registry, profiler, summary) -> None:
+    """Write the ``--trace`` / ``--metrics`` / ``--profile`` outputs."""
+    from .obs.export import (
+        profile_report,
+        summary_report,
+        write_chrome_trace,
+        write_metrics,
+        write_profile,
+    )
+
+    if tracer is not None:
+        write_chrome_trace(args.trace, tracer)
+        log.info("trace written to %s (%d spans)", args.trace, len(tracer))
+        log.debug("span summary:\n%s", summary_report(tracer))
+    if registry is not None:
+        write_metrics(args.metrics, registry)
+        log.info(
+            "metrics written to %s (%d instruments)",
+            args.metrics,
+            len(registry),
+        )
+    if profiler is not None:
+        overhead = profiler.overhead_estimate()
+        log.info(
+            "profiled %d stage(s) (machinery overhead %.4fs, "
+            "%.2f%% of profiled wall)",
+            len(profiler),
+            overhead["machinery_s"],
+            100.0 * overhead["fraction"],
+        )
+        if args.profile_out:
+            paths = write_profile(
+                args.profile_out, profiler, name=summary["design"]
+            )
+            for kind in sorted(paths):
+                log.info("profile %s written to %s", kind, paths[kind])
+        else:
+            log.debug("profile report:\n%s", profile_report(profiler))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -11,7 +11,14 @@ from .controllers import (
     ensure_controller_cells,
     place_controller,
 )
-from .ddg import ENV, build_ddg, fanin_fanout, predecessors_of, successors_of
+from .ddg import (
+    ENV,
+    DiGraph,
+    build_ddg,
+    fanin_fanout,
+    predecessors_of,
+    successors_of,
+)
 from .delays import (
     DelayElement,
     DelayElementError,
@@ -65,6 +72,7 @@ __all__ = [
     "DelayLadder",
     "DesyncOptions",
     "DesyncResult",
+    "DiGraph",
     "Drdesync",
     "ENV",
     "GroupingError",

@@ -10,14 +10,25 @@ for regions feeding themselves (state machines, counters).
 
 Primary inputs are attributed to the special environment node ``ENV``
 so the controller network knows which regions need an external request.
+
+The graph is a :class:`DiGraph`: a few dozen nodes at most, so plain
+adjacency dicts serve, and a cached DDG unpickles without importing a
+graph library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..liberty.gatefile import Gatefile
 from ..netlist.core import Module, PortDirection
@@ -31,14 +42,93 @@ ENV = "ENV"
 FANIN_BUCKETS = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
 
+class DiGraph:
+    """A small directed graph with optional per-edge attributes.
+
+    Nodes and each node's successors keep insertion order, so iteration
+    is deterministic.  Attribute dicts are only kept for edges added
+    with attributes (``max_cycle_ratio``'s weights); the DDG's edges
+    carry none.
+    """
+
+    def __init__(self) -> None:
+        #: node -> {successor: attribute dict or None}
+        self._succ: Dict[Hashable, Dict[Hashable, Optional[dict]]] = {}
+
+    def add_node(self, node: Hashable) -> None:
+        self._succ.setdefault(node, {})
+
+    def add_edge(
+        self, source: Hashable, target: Hashable, **attributes
+    ) -> None:
+        successors = self._succ.setdefault(source, {})
+        self._succ.setdefault(target, {})
+        if attributes:
+            data = successors.get(target) or {}
+            data.update(attributes)
+            successors[target] = data
+        elif target not in successors:
+            successors[target] = None
+
+    def has_edge(self, source: Hashable, target: Hashable) -> bool:
+        successors = self._succ.get(source)
+        return successors is not None and target in successors
+
+    def get_edge_data(
+        self, source: Hashable, target: Hashable, default=None
+    ) -> Optional[Dict[str, Any]]:
+        """The edge's attributes (``{}`` when it has none), else
+        ``default``."""
+        if not self.has_edge(source, target):
+            return default
+        return self._succ[source][target] or {}
+
+    def successors(self, node: Hashable) -> List[Hashable]:
+        return list(self._succ[node])
+
+    def predecessors(self, node: Hashable) -> List[Hashable]:
+        if node not in self._succ:
+            raise KeyError(node)
+        return [u for u, succ in self._succ.items() if node in succ]
+
+    def edges(self) -> List[Tuple[Hashable, Hashable]]:
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
+
+    def number_of_nodes(self) -> int:
+        return len(self._succ)
+
+    def number_of_edges(self) -> int:
+        return sum(len(successors) for successors in self._succ.values())
+
+    def subgraph(self, nodes: Iterable[Hashable]) -> "DiGraph":
+        """A copy induced on ``nodes``, in this graph's node order."""
+        keep = set(nodes)
+        graph = DiGraph()
+        for u, successors in self._succ.items():
+            if u in keep:
+                graph._succ[u] = {
+                    v: data for v, data in successors.items() if v in keep
+                }
+        return graph
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._succ)
+
+    def __repr__(self) -> str:
+        return (
+            f"DiGraph({self.number_of_nodes()} nodes, "
+            f"{self.number_of_edges()} edges)"
+        )
+
+
 def build_ddg(
     module: Module,
     gatefile: Gatefile,
     region_map: RegionMap,
     false_path_nets: Tuple[str, ...] = (),
     env_instances: Optional[Set[str]] = None,
-) -> "nx.DiGraph":
-    """Build the region data-dependency graph as a networkx DiGraph.
+) -> DiGraph:
+    """Build the region data-dependency graph.
 
     ``env_instances`` are sequential elements whose outputs count as
     environment data (foreign clock domains in a partial conversion).
@@ -52,7 +142,7 @@ def build_ddg(
     if metrics.enabled():
         fanin = metrics.histogram("desync.ddg.fanin", buckets=FANIN_BUCKETS)
         fanout = metrics.histogram("desync.ddg.fanout", buckets=FANIN_BUCKETS)
-        for node in graph.nodes:
+        for node in graph:
             if node == ENV:
                 continue
             fanin.observe(len(predecessors_of(graph, node)))
@@ -66,9 +156,9 @@ def _build_ddg(
     region_map: RegionMap,
     false_path_nets: Tuple[str, ...],
     env_instances: Optional[Set[str]],
-) -> "nx.DiGraph":
+) -> DiGraph:
     env_instances = env_instances or set()
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for name in region_map.regions:
         graph.add_node(name)
     graph.add_node(ENV)
@@ -153,7 +243,7 @@ def _net_edges(
 
 
 def patch_ddg(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     module: Module,
     gatefile: Gatefile,
     region_map: RegionMap,
@@ -197,7 +287,7 @@ def patch_ddg(
     return True
 
 
-def predecessors_of(graph: "nx.DiGraph", region: str) -> List[str]:
+def predecessors_of(graph: DiGraph, region: str) -> List[str]:
     """Region predecessors (sorted, ENV last for determinism)."""
     preds = sorted(p for p in graph.predecessors(region) if p != ENV)
     if graph.has_edge(ENV, region):
@@ -205,13 +295,13 @@ def predecessors_of(graph: "nx.DiGraph", region: str) -> List[str]:
     return preds
 
 
-def successors_of(graph: "nx.DiGraph", region: str) -> List[str]:
+def successors_of(graph: DiGraph, region: str) -> List[str]:
     succs = sorted(s for s in graph.successors(region) if s != ENV)
     if graph.has_edge(region, ENV):
         succs.append(ENV)
     return succs
 
 
-def fanin_fanout(graph: "nx.DiGraph", region: str) -> Tuple[int, int]:
+def fanin_fanout(graph: DiGraph, region: str) -> Tuple[int, int]:
     """Counts used to pick the controller flavour (section 3.2.6)."""
     return len(predecessors_of(graph, region)), len(successors_of(graph, region))

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..liberty.gatefile import Gatefile
 from ..liberty.model import Library
 from ..liberty.techmap import GateChooser
@@ -28,7 +26,7 @@ from ..sta.analysis import propagate
 from ..sta.graph import build_timing_graph
 from .cmuller import build_cmuller
 from .controllers import ControllerInstance, place_controller
-from .ddg import ENV, predecessors_of, successors_of
+from .ddg import ENV, DiGraph, predecessors_of, successors_of
 from .delays import (
     DelayElement,
     DelayLadder,
@@ -165,7 +163,7 @@ def insert_control_network(
     library: Library,
     gatefile: Gatefile,
     region_map: RegionMap,
-    ddg: "nx.DiGraph",
+    ddg: DiGraph,
     ladder: DelayLadder,
     chooser: Optional[GateChooser] = None,
     delay_margin: float = 0.10,

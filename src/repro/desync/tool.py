@@ -18,9 +18,7 @@ netlist, ready for the backend, exactly like the paper's C tool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..liberty.gatefile import Gatefile, build_gatefile
 from ..liberty.model import Library
@@ -31,10 +29,15 @@ from ..netlist.blif import write_blif_module
 from ..sta.sdc import SdcFile
 from .constraints import disables_for_sta
 from .controllers import ensure_controller_cell
+from .ddg import DiGraph
 from .delays import DelayLadder, characterize_ladder
 from .ffsub import SubstitutionResult
 from .network import ControlNetwork
 from .regions import RegionMap
+
+if TYPE_CHECKING:
+    from ..engine.executor import FlowEngine
+    from ..engine.graph import Stage
 
 
 @dataclass
@@ -76,7 +79,7 @@ class DesyncResult:
     module: Module
     gatefile: Gatefile
     region_map: RegionMap
-    ddg: "nx.DiGraph"
+    ddg: DiGraph
     substitution: SubstitutionResult
     network: ControlNetwork
     ladder: DelayLadder
@@ -97,14 +100,26 @@ class DesyncResult:
         return self.sdc.to_text()
 
     def summary(self) -> Dict[str, object]:
-        return {
-            "regions": len(self.region_map),
-            "flip_flops_replaced": self.substitution.replaced,
-            "controllers": len(self.network.controllers),
-            "delay_elements": len(self.network.delay_elements),
-            "cells": len(self.module.instances),
-            "nets": len(self.module.nets),
-        }
+        return result_summary(
+            self.module, self.region_map, self.substitution, self.network
+        )
+
+
+def result_summary(
+    module: Module,
+    region_map: RegionMap,
+    substitution: SubstitutionResult,
+    network: ControlNetwork,
+) -> Dict[str, object]:
+    """The conversion's headline counts."""
+    return {
+        "regions": len(region_map),
+        "flip_flops_replaced": substitution.replaced,
+        "controllers": len(network.controllers),
+        "delay_elements": len(network.delay_elements),
+        "cells": len(module.instances),
+        "nets": len(module.nets),
+    }
 
 
 #: the artifacts :meth:`Drdesync.assemble_result` reads, and the only
@@ -121,6 +136,71 @@ RESULT_ARTIFACTS = (
     "network",
     "sdc",
 )
+
+
+#: what :func:`export_outputs` returns and :func:`export_stage`
+#: publishes: the output texts (``blif`` is None unless asked for) and
+#: the summary the CLI logs
+EXPORT_ARTIFACTS = ("verilog", "sdc.text", "blif", "summary")
+
+
+def export_outputs(
+    module: Module,
+    sdc: SdcFile,
+    network: ControlNetwork,
+    region_map: RegionMap,
+    substitution: SubstitutionResult,
+    blif: bool = False,
+) -> Dict[str, Any]:
+    """Design export (step 7): the output texts plus the summary.
+
+    ``summary`` holds the design name, the :func:`result_summary`
+    counts and one ``(region, cloud delay, delay-element levels)`` row
+    per region with a delay element.
+    """
+    rows = [
+        (region, delay, network.delay_elements[region].length)
+        for region, delay in sorted(network.region_delays.items())
+        if region in network.delay_elements
+    ]
+    return {
+        "verilog": write_module(module),
+        "sdc.text": sdc.to_text(),
+        "blif": write_blif_module(module) if blif else None,
+        "summary": {
+            "design": module.name,
+            "counts": result_summary(
+                module, region_map, substitution, network
+            ),
+            "delay_elements": rows,
+        },
+    }
+
+
+def export_stage(blif: bool = False) -> "Stage":
+    """:func:`export_outputs` as the engine stage ending a conversion.
+
+    Its outputs are text, so a run whose every stage hits the cache
+    reads them without loading a netlist snapshot.
+    """
+    from ..engine.graph import Stage
+
+    inputs = (
+        "module.network",
+        "sdc",
+        "network",
+        "region_map.ffsub",
+        "substitution",
+    )
+    return Stage(
+        name="export",
+        func=lambda a: export_outputs(
+            *(a[name] for name in inputs), blif=blif
+        ),
+        inputs=inputs,
+        outputs=EXPORT_ARTIFACTS,
+        params={"blif": blif},
+    )
 
 
 class Drdesync:

@@ -21,8 +21,10 @@ Typical use::
 """
 
 from .cache import (
+    CACHE_SCHEMA,
     ArtifactCache,
     CacheStats,
+    DeferredArtifact,
     HashError,
     LazyArtifact,
     stable_hash,
@@ -49,9 +51,11 @@ from .stages import (
 )
 
 __all__ = [
+    "CACHE_SCHEMA",
     "ArtifactCache",
     "ArtifactMap",
     "CacheStats",
+    "DeferredArtifact",
     "LazyArtifact",
     "DESYNC_ARTIFACTS",
     "FlowEngine",

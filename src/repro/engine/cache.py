@@ -12,12 +12,11 @@ Two pieces live here:
   (see :mod:`repro.engine.executor`), with hit/miss accounting and an
   enabled/disabled switch (the ``--no-cache`` escape hatch).
 
-Stage keys cover inputs, params and a hand-bumped stage version, but
-not the layout of the classes inside the pickles.  Every manifest is
-therefore stamped with :func:`layout_stamp`, a fingerprint of the
-fields of every class the flow pickles: an entry written under another
-layout, or one whose pickles no longer load, is a miss rather than a
-crash deep inside a stage.
+Every stage key and every fingerprint is seeded with
+:data:`CACHE_SCHEMA`, a hand-bumped constant: bumping it moves every
+key, so entries written under an older layout are never looked up.  An
+entry whose pickles no longer load is a miss rather than a crash deep
+inside a stage.
 
 Stage keys chain Merkle-style: a derived artifact's fingerprint is the
 key of the stage that produced it, so only *root* inputs (the imported
@@ -31,13 +30,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import hashlib
 import os
 import pickle
 import tempfile
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 try:  # POSIX advisory file locking; absent on some platforms
     import fcntl
@@ -46,9 +44,21 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 from ..netlist.core import Module
 
-#: bump to invalidate every cache entry after an incompatible change to
-#: the canonical serialisation below
-HASH_SCHEMA = "1"
+#: seeds every stage key and fingerprint.  Bump it when a cache entry
+#: written before a change would be wrong after it: the layout of a
+#: pickled class changes (``tests/test_engine.py`` records a digest of
+#: them and fails until this is bumped), the canonical hash below
+#: changes, or the Verilog reader's output changes (the CLI keys its
+#: input on the file's bytes, not on the parsed netlist).
+CACHE_SCHEMA = "2"
+
+#: manifest layout written by :meth:`ArtifactCache.put`
+MANIFEST_FORMAT = 3
+
+
+def key_hasher():
+    """A sha256 hasher seeded with the current :data:`CACHE_SCHEMA`."""
+    return hashlib.sha256(f"repro-cache/{CACHE_SCHEMA}|".encode())
 
 
 class HashError(TypeError):
@@ -151,83 +161,12 @@ def _feed_object(hasher, obj: Any, depth: int) -> None:
 
 def stable_hash(obj: Any) -> str:
     """Deterministic content fingerprint of ``obj`` (sha256 hex)."""
-    hasher = hashlib.sha256(HASH_SCHEMA.encode())
+    hasher = key_hasher()
     _feed(hasher, obj)
     return hasher.hexdigest()
 
 
 _LIB_FP_ATTR = "_engine_fingerprint"
-
-
-def _pickled_layouts() -> List[Any]:
-    """Every class whose instances cache entries pickle.
-
-    A plain class is listed as a probe instance: only an instance shows
-    the attributes its ``__init__`` sets.  Imported on first use, since
-    :mod:`repro.flow` imports the engine.
-    """
-    from ..desync.controllers import ControllerInstance
-    from ..desync.delays import DelayElement, DelayLadder
-    from ..desync.ffsub import SubstitutionResult
-    from ..desync.network import ControlNetwork
-    from ..desync.regions import Region, RegionMap
-    from ..dft.scan import ScanResult
-    from ..flow.reports import AreaReport
-    from ..netlist.core import Instance, Net, PinRef, Port, PortDirection
-    from ..physical.backend import BackendResult, LayoutReport
-    from ..physical.cts import ClockTree, CtsResult
-    from ..physical.placement import Placement
-    from ..physical.routing import RoutingResult
-    from ..sta import sdc
-
-    return [
-        Module("probe"), Port, Net, Instance, PinRef, PortDirection,
-        Region, RegionMap, SubstitutionResult, DelayLadder, DelayElement,
-        ControllerInstance, ControlNetwork, sdc.SdcFile, sdc.CreateClock,
-        sdc.SetDisableTiming, sdc.SetSizeOnly, sdc.SetDontTouch,
-        sdc.PathDelay, ScanResult, Placement, ClockTree, CtsResult,
-        RoutingResult, LayoutReport, BackendResult, AreaReport,
-    ]
-
-
-def _layout_of(item: Any) -> str:
-    """One pickled class's layout: its bases and its typed fields."""
-    if isinstance(item, type):
-        cls = item
-        if issubclass(cls, Enum):
-            fields = [repr(member.value) for member in cls]
-        else:
-            if dataclasses.is_dataclass(cls):
-                names = [fld.name for fld in dataclasses.fields(cls)]
-            else:  # NamedTuple fields, else slots
-                names = list(getattr(cls, "_fields", None) or cls.__slots__)
-            hints = vars(cls).get("__annotations__", {})
-            fields = []
-            for name in names:
-                hint = hints.get(name, "")
-                # NamedTuple wraps string annotations in ForwardRefs
-                hint = getattr(hint, "__forward_arg__", hint)
-                fields.append(f"{name}:{hint}")
-    else:  # probe instance of a plain class
-        cls = type(item)
-        fields = [
-            f"{name}:{type(value).__name__}"
-            for name, value in sorted(vars(item).items())
-        ]
-    bases = "<".join(base.__qualname__ for base in cls.__mro__)
-    return f"{cls.__module__}.{bases}({','.join(fields)})"
-
-
-@functools.lru_cache(maxsize=None)
-def layout_stamp() -> str:
-    """Fingerprint of the field layout of every pickled class.
-
-    Computed once per process.  Changing a field, its annotation or a
-    class's kind (say, a dataclass becoming a ``NamedTuple``) changes
-    the stamp, so entries written before the change miss.
-    """
-    text = "\n".join(_layout_of(item) for item in _pickled_layouts())
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def library_fingerprint(library) -> str:
@@ -260,8 +199,8 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    #: lookups that found an entry but could not use it (foreign layout
-    #: stamp, unreadable pickle); each also counts as a miss
+    #: lookups that found an entry but could not use it (unknown
+    #: manifest format, unreadable pickle); each also counts as a miss
     rejected: int = 0
 
     @property
@@ -333,6 +272,35 @@ class LazyArtifact:
         return f"LazyArtifact({os.path.basename(self.path)!r}, {state})"
 
 
+class DeferredArtifact:
+    """An initial artifact computed on first read.
+
+    ``fingerprint`` stands in for the value's content hash in the stage
+    keys, so a run is keyed without computing the value: the CLI keys
+    its input netlist on the file's bytes and parses it only when the
+    stage that reads it has to run.  The engine's artifact map calls
+    :meth:`load` on first access, like a :class:`LazyArtifact`.
+    """
+
+    __slots__ = ("fingerprint", "_compute", "_value", "_loaded")
+
+    def __init__(self, compute: Callable[[], Any], fingerprint: str):
+        self.fingerprint = fingerprint
+        self._compute = compute
+        self._value = None
+        self._loaded = False
+
+    def load(self) -> Any:
+        if not self._loaded:
+            self._value = self._compute()
+            self._loaded = True
+        return self._value
+
+    def __repr__(self) -> str:
+        state = "loaded" if self._loaded else "deferred"
+        return f"DeferredArtifact({self.fingerprint[:12]!r}, {state})"
+
+
 #: artifacts pickling larger than this live in their own sidecar file
 INLINE_LIMIT = 32 * 1024
 
@@ -398,8 +366,7 @@ class ArtifactCache:
             manifest = None
         if (
             not isinstance(manifest, dict)
-            or manifest.get("format") != 2
-            or manifest.get("layout") != layout_stamp()
+            or manifest.get("format") != MANIFEST_FORMAT
         ):
             self.stats.rejected += 1
             return None
@@ -495,8 +462,7 @@ class ArtifactCache:
                 sidecar[name] = os.path.basename(self._path(key, part))
                 part += 1
         manifest = {
-            "format": 2,
-            "layout": layout_stamp(),
+            "format": MANIFEST_FORMAT,
             "inline": inline,
             "sidecar": sidecar,
         }

@@ -18,12 +18,15 @@ The :class:`FlowEngine` schedules a :class:`~repro.engine.graph.FlowGraph`:
   dependents are skipped, but every artifact produced by the healthy
   part of the graph is still returned.  A cache entry whose sidecar no
   longer loads is evicted and the graph runs once more.
+
+An initial artifact may be a :class:`~repro.engine.cache.DeferredArtifact`:
+its own fingerprint keys the run, and it is computed only if a stage
+that reads it runs.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,19 +35,32 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..netlist.core import Module
 from ..obs import metrics, prof, trace
-from .cache import ArtifactCache, CacheEntryError, LazyArtifact, stable_hash
+from .cache import (
+    ArtifactCache,
+    CacheEntryError,
+    DeferredArtifact,
+    LazyArtifact,
+    key_hasher,
+    stable_hash,
+)
 from .graph import FlowGraph, Stage
 from .journal import RunJournal
+
+
+#: handles an :class:`ArtifactMap` resolves on first keyed access
+_PENDING = (LazyArtifact, DeferredArtifact)
 
 
 class ArtifactMap(dict):
     """Artifact store that materialises lazy cache loads on access.
 
     Cache hits park :class:`~repro.engine.cache.LazyArtifact` handles
-    here; the first ``[]``/``get`` for such a key unpickles the sidecar
+    here, and a caller may pass a
+    :class:`~repro.engine.cache.DeferredArtifact` as an initial
+    artifact; the first ``[]``/``get`` for such a key loads the value
     and replaces the handle, so artifacts nothing reads are never
-    deserialised.  ``items()``/``values()`` expose raw handles -- use
-    keyed access.
+    deserialised or computed.  ``items()``/``values()`` expose raw
+    handles -- use keyed access.
     """
 
     def __init__(self, *args, **kwargs):
@@ -53,10 +69,10 @@ class ArtifactMap(dict):
 
     def __getitem__(self, key):
         value = super().__getitem__(key)
-        if isinstance(value, LazyArtifact):
+        if isinstance(value, _PENDING):
             with self._lazy_lock:
                 value = super().__getitem__(key)
-                if isinstance(value, LazyArtifact):
+                if isinstance(value, _PENDING):
                     value = value.load()
                     super().__setitem__(key, value)
         return value
@@ -87,6 +103,8 @@ class StageRecord:
     name: str
     status: StageStatus
     duration: float = 0.0
+    #: CPU seconds of the thread that ran the stage body (0 on a hit)
+    cpu: float = 0.0
     attempts: int = 0
     key: Optional[str] = None
     cache: str = "off"  # "hit" | "miss" | "off"
@@ -270,7 +288,7 @@ class _RunState:
         # a re-run reuses the first run's root fingerprints: stages may
         # have rewritten the initial module in place since
         self.roots = roots or {
-            name: stable_hash(value) if use_cache else f"raw:{name}"
+            name: _root_fingerprint(name, value, use_cache)
             for name, value in initial.items()
         }
         self.fingerprints.update(self.roots)
@@ -297,7 +315,7 @@ class _RunState:
         return None
 
     def stage_key(self, stage: Stage) -> str:
-        hasher = hashlib.sha256()
+        hasher = key_hasher()
         hasher.update(f"{self.graph.name}|{stage.name}|{stage.version}".encode())
         hasher.update(stable_hash(stage.params).encode())
         for artifact in sorted(stage.inputs):
@@ -354,11 +372,15 @@ class _RunState:
             for artifact in stage.outputs:
                 self.fingerprints[artifact] = f"{fingerprint_base}#{artifact}"
 
-    def attempt_stage(self, stage: Stage) -> Tuple[Dict[str, Any], int]:
-        """Run the stage with its retry policy; returns (outputs, tries)."""
+    def attempt_stage(
+        self, stage: Stage
+    ) -> Tuple[Dict[str, Any], int, float]:
+        """Run the stage with its retry policy on the calling thread;
+        returns (outputs, tries, thread CPU seconds)."""
         attempts = 0
         retries = max(stage.retries, self.engine.default_retries)
         profiler = self.profiler
+        cpu_start = time.thread_time()
         with trace.scoped(self.tracer):
             while True:
                 attempts += 1
@@ -386,11 +408,14 @@ class _RunState:
                                 outputs = stage.call(inputs)
                         else:
                             outputs = stage.call(inputs)
-                    return outputs, attempts
+                    return outputs, attempts, time.thread_time() - cpu_start
                 except Exception as exc:
                     metrics.counter("engine.stage.errors").inc()
                     if attempts > retries:
                         exc.__engine_attempts__ = attempts  # type: ignore[attr-defined]
+                        exc.__engine_cpu__ = (  # type: ignore[attr-defined]
+                            time.thread_time() - cpu_start
+                        )
                         raise
 
     def process_stage_inline(self, stage: Stage) -> None:
@@ -399,7 +424,7 @@ class _RunState:
             return
         start = time.perf_counter()
         try:
-            outputs, attempts = self.attempt_stage(stage)
+            outputs, attempts, cpu = self.attempt_stage(stage)
         except Exception as exc:
             self._record_failure(stage, exc, time.perf_counter() - start)
             return
@@ -407,7 +432,7 @@ class _RunState:
         if stage.timeout is not None and duration > stage.timeout:
             self.record_timeout(stage, duration)
             return
-        self._record_success(stage, outputs, attempts, duration)
+        self._record_success(stage, outputs, attempts, duration, cpu)
 
     def finish_stage(
         self,
@@ -420,8 +445,8 @@ class _RunState:
         if exc is not None:
             self._record_failure(stage, exc, duration)
             return
-        outputs, attempts = future.result()
-        self._record_success(stage, outputs, attempts, duration)
+        outputs, attempts, cpu = future.result()
+        self._record_success(stage, outputs, attempts, duration, cpu)
 
     # -- terminal states -----------------------------------------------
     def _record_success(
@@ -430,6 +455,7 @@ class _RunState:
         outputs: Dict[str, Any],
         attempts: int,
         duration: float,
+        cpu: float,
     ) -> None:
         key = self._pending_key.get(stage.name)
         cache = self.engine.cache
@@ -441,6 +467,7 @@ class _RunState:
             stage.name,
             StageStatus.OK,
             duration=duration,
+            cpu=cpu,
             attempts=attempts,
             key=key,
             cache="miss" if use_cache else "off",
@@ -456,6 +483,7 @@ class _RunState:
             stage.name,
             StageStatus.FAILED,
             duration=duration,
+            cpu=getattr(exc, "__engine_cpu__", 0.0),
             attempts=attempts,
             key=self._pending_key.get(stage.name),
             cache="off" if self.engine.cache is None else "miss",
@@ -496,12 +524,21 @@ class _RunState:
                 stage=stage.name,
                 status=record.status.value,
                 duration=round(record.duration, 6),
+                cpu=round(record.cpu, 6),
                 attempts=record.attempts,
                 cache=record.cache,
                 key=record.key[:12] if record.key else None,
                 error=record.error_text,
                 metrics=record.metrics or None,
             )
+
+
+def _root_fingerprint(name: str, value: Any, use_cache: bool) -> str:
+    if not use_cache:
+        return f"raw:{name}"
+    if isinstance(value, DeferredArtifact):
+        return value.fingerprint
+    return stable_hash(value)
 
 
 def _damaged_entry(
@@ -549,6 +586,9 @@ class FlowEngine:
     ) -> FlowResult:
         """Execute ``graph`` from the ``initial`` artifacts.
 
+        An initial artifact given as a
+        :class:`~repro.engine.cache.DeferredArtifact` is keyed by its
+        fingerprint and computed only when a stage reading it runs.
         ``load`` names artifacts the caller is about to read; they are
         loaded before this returns.  When a cache entry's sidecar cannot
         be loaded -- by a stage reading its inputs, or by ``load`` --

@@ -11,13 +11,14 @@ across PRs.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
-from ..obs.export import aggregate_spans
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer
 from .cache import ArtifactCache
 from .executor import FlowResult, StageStatus
+
+if TYPE_CHECKING:  # the exporters load only when a tracer is passed
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.trace import Tracer
 
 
 def render_report(result: FlowResult) -> str:
@@ -25,8 +26,8 @@ def render_report(result: FlowResult) -> str:
     lines = [
         f"== flow {result.name!r}: {len(result.records)} stages, "
         f"{result.wall_time:.3f}s wall ==",
-        f"{'stage':28s} {'status':8s} {'time (s)':>9s} {'cache':>6s} "
-        f"{'tries':>6s}  detail",
+        f"{'stage':28s} {'status':8s} {'time (s)':>9s} {'cpu (s)':>9s} "
+        f"{'cache':>6s} {'tries':>6s}  detail",
     ]
     for record in result.records.values():
         detail = ""
@@ -41,7 +42,7 @@ def render_report(result: FlowResult) -> str:
             detail = record.error_text
         lines.append(
             f"{record.name:28s} {record.status.value:8s} "
-            f"{record.duration:>9.3f} {record.cache:>6s} "
+            f"{record.duration:>9.3f} {record.cpu:>9.3f} {record.cache:>6s} "
             f"{record.attempts:>6d}  {detail}"
         )
     counts = result.summary()
@@ -99,6 +100,8 @@ def engine_stats(
     if cache is not None:
         stats["cache"] = cache.stats.as_dict()
     if tracer is not None:
+        from ..obs.export import aggregate_spans
+
         stats["trace"] = aggregate_spans(tracer)
     if registry is not None:
         stats["metrics"] = registry.snapshot()

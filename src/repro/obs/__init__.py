@@ -24,71 +24,62 @@ near-zero-cost in that state; the CLI's ``--trace`` / ``--metrics`` /
     ...run the flow...
     write_chrome_trace("trace.json")      # open in ui.perfetto.dev
     write_profile("profile-out")          # open in speedscope.app
+
+The submodules load on first use (``from repro.obs import metrics``, or
+any name below), so a conversion that only counts and traces never
+imports the exporters or the benchmark store.
 """
 
-from . import bench, export, logsetup, metrics, prof, trace, vcd
-from .bench import BenchResult, check_regression, machine_metadata
-from .export import (
-    aggregate_spans,
-    chrome_trace_events,
-    collapsed_stacks,
-    handshake_trace_events,
-    phase_times,
-    profile_document,
-    profile_report,
-    prometheus_text,
-    speedscope_document,
-    summary_report,
-    trace_document,
-    write_chrome_trace,
-    write_handshake_trace,
-    write_metrics,
-    write_profile,
-)
-from .logsetup import configure_logging, get_logger
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NS_BUCKETS
-from .prof import Profiler, StageProfile
-from .trace import NULL_SPAN, Span, Tracer
-from .vcd import VcdWriter, read_vcd
+import importlib
+from typing import Any
 
-__all__ = [
-    "BenchResult",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NS_BUCKETS",
-    "NULL_SPAN",
-    "Profiler",
-    "Span",
-    "StageProfile",
-    "Tracer",
-    "VcdWriter",
-    "aggregate_spans",
-    "bench",
-    "check_regression",
-    "chrome_trace_events",
-    "collapsed_stacks",
-    "configure_logging",
-    "export",
-    "get_logger",
-    "handshake_trace_events",
-    "logsetup",
-    "machine_metadata",
-    "metrics",
-    "phase_times",
-    "prof",
-    "profile_document",
-    "profile_report",
-    "prometheus_text",
-    "read_vcd",
-    "speedscope_document",
-    "summary_report",
-    "trace",
-    "trace_document",
-    "vcd",
-    "write_chrome_trace",
-    "write_handshake_trace",
-    "write_metrics",
-    "write_profile",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "BenchResult": "bench",
+    "check_regression": "bench",
+    "machine_metadata": "bench",
+    "aggregate_spans": "export",
+    "chrome_trace_events": "export",
+    "collapsed_stacks": "export",
+    "handshake_trace_events": "export",
+    "phase_times": "export",
+    "profile_document": "export",
+    "profile_report": "export",
+    "prometheus_text": "export",
+    "speedscope_document": "export",
+    "summary_report": "export",
+    "trace_document": "export",
+    "write_chrome_trace": "export",
+    "write_handshake_trace": "export",
+    "write_metrics": "export",
+    "write_profile": "export",
+    "configure_logging": "logsetup",
+    "get_logger": "logsetup",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "NS_BUCKETS": "metrics",
+    "Profiler": "prof",
+    "StageProfile": "prof",
+    "NULL_SPAN": "trace",
+    "Span": "trace",
+    "Tracer": "trace",
+    "VcdWriter": "vcd",
+    "read_vcd": "vcd",
+}
+
+_SUBMODULES = ("bench", "export", "logsetup", "metrics", "prof", "trace", "vcd")
+
+__all__ = sorted((*_EXPORTS, *_SUBMODULES))
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    owner = _EXPORTS.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    globals()[name] = value
+    return value

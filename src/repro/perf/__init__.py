@@ -7,6 +7,7 @@ from .cycle import (
     latch_overhead_delay,
     max_cycle_ratio,
     measure_effective_period,
+    simple_cycles,
 )
 
 __all__ = [
@@ -16,4 +17,5 @@ __all__ = [
     "latch_overhead_delay",
     "max_cycle_ratio",
     "measure_effective_period",
+    "simple_cycles",
 ]

@@ -12,17 +12,19 @@ from the controller network (section 2.5).  Two complementary views:
 - :func:`measure_effective_period` -- a direct measurement from the
   event-driven simulation: the asymptotic interval between successive
   captures of a probe latch.
+
+Cycles are enumerated by :func:`simple_cycles` (Johnson's algorithm)
+over a :class:`~repro.desync.ddg.DiGraph`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterator, List, Optional, Set
 
 from ..desync.controllers import CONTROL_OVERHEAD_GATES, C_RESET_CELL
-from ..desync.ddg import ENV
+from ..desync.ddg import ENV, DiGraph
 from ..liberty.model import Library
 
 
@@ -122,21 +124,113 @@ def effective_period_model(
     return report
 
 
-def _critical_cycle(ddg: "nx.DiGraph", per_region: Dict[str, float]) -> List[str]:
+def simple_cycles(graph: DiGraph) -> Iterator[List[Hashable]]:
+    """Every elementary cycle of ``graph``, each exactly once.
+
+    Johnson's algorithm (SIAM J. Comput. 4(1), 1975): self-loops first,
+    then, for each node ``s`` in node order, the cycles whose first
+    node in that order is ``s``, searched inside the strongly connected
+    component of ``s`` among ``s`` and the nodes after it.  A cycle is
+    listed from its first node; the order is deterministic.
+    """
+    nodes = list(graph)
+    successors = {
+        node: [w for w in graph.successors(node) if w != node]
+        for node in nodes
+    }
+    predecessors: Dict[Hashable, List[Hashable]] = defaultdict(list)
+    for node, targets in successors.items():
+        for w in targets:
+            predecessors[w].append(node)
+    for node in nodes:
+        if graph.has_edge(node, node):
+            yield [node]
+    for index, start in enumerate(nodes):
+        allowed = set(nodes[index:])
+        component = _reach(start, successors, allowed) & _reach(
+            start, predecessors, allowed
+        )
+        if len(component) > 1:
+            yield from _circuits(start, successors, component)
+
+
+def _reach(
+    start: Hashable,
+    edges: Dict[Hashable, List[Hashable]],
+    allowed: Set[Hashable],
+) -> Set[Hashable]:
+    """The nodes of ``allowed`` reachable from ``start`` along ``edges``;
+    reachable both ways, they are ``start``'s strongly connected
+    component."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for w in edges.get(frontier.pop(), ()):
+            if w in allowed and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def _circuits(
+    start: Hashable,
+    successors: Dict[Hashable, List[Hashable]],
+    component: Set[Hashable],
+) -> Iterator[List[Hashable]]:
+    """Johnson's circuit search: the cycles through ``start`` inside
+    ``component``."""
+
+    def inside(node: Hashable) -> Iterator[Hashable]:
+        return iter([w for w in successors[node] if w in component])
+
+    path = [start]
+    blocked = {start}
+    # nodes to unblock once a node on a dead-end branch is unblocked
+    waiting: Dict[Hashable, Set[Hashable]] = defaultdict(set)
+    stack = [inside(start)]
+    closed = [False]
+    while stack:
+        for w in stack[-1]:
+            if w == start:
+                yield path[:]
+                closed[-1] = True
+            elif w not in blocked:
+                path.append(w)
+                closed.append(False)
+                stack.append(inside(w))
+                blocked.add(w)
+                break
+        else:
+            stack.pop()
+            v = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                release = {v}
+                while release:
+                    u = release.pop()
+                    if u in blocked:
+                        blocked.remove(u)
+                        release.update(waiting[u])
+                        waiting[u].clear()
+            else:
+                for w in successors[v]:
+                    if w in component:
+                        waiting[w].add(v)
+
+
+def _critical_cycle(ddg: DiGraph, per_region: Dict[str, float]) -> List[str]:
     """The DDG cycle containing the slowest region (if any)."""
     graph = ddg.subgraph([n for n in ddg if n != ENV and n in per_region])
     worst = max(per_region, key=per_region.get) if per_region else None
-    try:
-        for cycle in nx.simple_cycles(graph):
-            if worst in cycle:
-                return cycle
-    except nx.NetworkXNoCycle:
-        pass
+    for cycle in simple_cycles(graph):
+        if worst in cycle:
+            return cycle
     return [worst] if worst else []
 
 
 def max_cycle_ratio(
-    graph: "nx.DiGraph",
+    graph: DiGraph,
     weight: str = "weight",
     tokens: str = "tokens",
 ) -> float:
@@ -146,7 +240,7 @@ def max_cycle_ratio(
     the ablation benchmarks.  Exact enumeration -- DDGs are small.
     """
     best = 0.0
-    for cycle in nx.simple_cycles(graph):
+    for cycle in simple_cycles(graph):
         total_weight = 0.0
         total_tokens = 0.0
         nodes = list(cycle)

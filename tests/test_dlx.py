@@ -156,10 +156,10 @@ def test_dlx_autogrouping_finds_pipeline_regions(lib, small_dlx):
     # netlist yields at least that many independent regions
     assert len(active) >= 4
     # the PC loop is a dependency cycle in the DDG
-    import networkx as nx
+    from repro.perf import simple_cycles
 
     core = result.ddg.subgraph(n for n in result.ddg if n != "ENV")
-    assert any(True for _ in nx.simple_cycles(core))
+    assert any(True for _ in simple_cycles(core))
 
 
 def test_dlx_flow_equivalence_reactive(lib, small_dlx):

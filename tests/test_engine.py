@@ -7,6 +7,10 @@ robustness, graceful degradation of a failing P&R stage, and the JSONL
 run journal.
 """
 
+import dataclasses
+import enum
+import hashlib
+import re
 import time
 
 import pytest
@@ -311,23 +315,89 @@ def test_render_report_and_stats(lib, tmp_path):
     assert stats["cache"]["misses"] == len(DESYNC_STAGES)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stage_cpu_time_in_records_journal_and_report(lib, tmp_path, jobs):
+    """Each stage record and ``stage_end`` event carries the CPU seconds
+    of the thread that ran the stage body; a cache hit ran none."""
+    journal = RunJournal()
+    engine = make_engine(tmp_path, jobs=jobs, journal=journal)
+    run_desync(lib, engine, pipeline3(lib))
+    cold = engine.results[-1]
+    assert all(record.cpu >= 0.0 for record in cold.records.values())
+    assert sum(record.cpu for record in cold.records.values()) > 0.0
+    run_desync(lib, engine, pipeline3(lib))
+    warm = engine.results[-1]
+    assert all(record.cpu == 0.0 for record in warm.records.values())
+    ends = journal.select("stage_end")
+    assert len(ends) == 2 * len(DESYNC_STAGES)
+    assert all(event["cpu"] >= 0.0 for event in ends)
+    assert all(event["cpu"] == 0.0 for event in ends if event["cache"] == "hit")
+    report = render_report(cold)
+    assert "cpu (s)" in report.splitlines()[1]
+
+
 # ---------------------------------------------------------------------------
 # damaged and stale cache entries
 
 
+#: (CACHE_SCHEMA, digest of the layouts of every class the cached flows
+#: pickle); see test_layout_stamp_covers_every_pickled_class
+RECORDED_LAYOUTS = ("2", "c78ee393f79db7bf")
+
+
+def _hint_text(hint) -> str:
+    """An annotation as text, alike on every supported Python."""
+    hint = getattr(hint, "__forward_arg__", hint)
+    if isinstance(hint, type):
+        return hint.__qualname__
+    return re.sub(r"ForwardRef\('([^']*)'[^)]*\)", r"\1", str(hint))
+
+
+def _layout_of(cls, attributes) -> str:
+    """One pickled class's layout: its bases and its typed fields.
+
+    ``attributes`` are the instance attributes seen pickled, which are
+    the layout of a plain class.
+    """
+    if issubclass(cls, enum.Enum):
+        fields = [repr(member.value) for member in cls]
+    elif dataclasses.is_dataclass(cls):
+        fields = [
+            f"{fld.name}:{_hint_text(fld.type)}"
+            for fld in dataclasses.fields(cls)
+        ]
+    elif "_fields" in vars(cls) or "__slots__" in vars(cls):
+        names = vars(cls).get("_fields") or cls.__slots__
+        hints = vars(cls).get("__annotations__", {})
+        fields = [f"{name}:{_hint_text(hints.get(name, ''))}" for name in names]
+    else:
+        fields = sorted(attributes)
+    bases = "<".join(base.__qualname__ for base in cls.__mro__)
+    return f"{cls.__module__}.{bases}({','.join(fields)})"
+
+
 def test_layout_stamp_covers_every_pickled_class(lib, tmp_path, monkeypatch):
-    """Every repro class inside a cache entry is in the layout stamp."""
+    """The cache keys carry no class layout: a change to the layout of
+    any repro class a cache entry pickles must come with a
+    ``CACHE_SCHEMA`` bump, so entries written before it are never read.
+    The classes are those pickled by the CLI conversion graph,
+    ``implement_desynchronized`` and a scan ``implement_comparison``."""
     import io
     import pickle
 
-    from repro.engine import cache as cache_mod
+    from repro.cli import main as cli_main
+    from repro.engine.cache import CACHE_SCHEMA
     from repro.flow import implement_desynchronized
+    from repro.flow.implementation import implement_comparison
+    from repro.netlist import Netlist, save_verilog
 
-    seen = set()
+    seen = {}
 
     class Collector(pickle.Pickler):
         def reducer_override(self, obj):
-            seen.add(type(obj))
+            attributes = seen.setdefault(type(obj), set())
+            if hasattr(obj, "__dict__"):
+                attributes.update(vars(obj))
             return NotImplemented
 
     put = ArtifactCache.put
@@ -337,34 +407,69 @@ def test_layout_stamp_covers_every_pickled_class(lib, tmp_path, monkeypatch):
         return put(self, key, value)
 
     monkeypatch.setattr(ArtifactCache, "put", spy)
+    netlist = Netlist()
+    netlist.add_module(figure22_circuit(lib))
+    design = tmp_path / "fig22.v"
+    save_verilog(netlist, str(design))
+    assert cli_main([
+        str(design), "-o", str(tmp_path / "out.v"), "--blif",
+        str(tmp_path / "out.blif"), "--cache-dir", str(tmp_path / "cli"),
+        "--quiet",
+    ]) == 0
     implement_desynchronized(
-        figure22_circuit(lib), lib, engine=make_engine(tmp_path)
+        figure22_circuit(lib), lib, engine=make_engine(tmp_path / "desync")
     )
-    pickled = {cls for cls in seen if cls.__module__.startswith("repro.")}
-    covered = {
-        item if isinstance(item, type) else type(item)
-        for item in cache_mod._pickled_layouts()
-    }
-    assert pickled and pickled <= covered, sorted(
-        cls.__qualname__ for cls in pickled - covered
+    implement_comparison(
+        "fig22", figure22_circuit(lib), figure22_circuit(lib), lib,
+        with_scan=True, engine=make_engine(tmp_path / "compare"),
     )
+    layouts = sorted(
+        _layout_of(cls, attributes)
+        for cls, attributes in seen.items()
+        if cls.__module__.startswith("repro.")
+    )
+    assert layouts
+    digest = hashlib.sha256("\n".join(layouts).encode()).hexdigest()[:16]
+    assert (CACHE_SCHEMA, digest) == RECORDED_LAYOUTS, (
+        "the layout of a class the cache pickles changed: bump "
+        "CACHE_SCHEMA in repro/engine/cache.py and record "
+        f"({CACHE_SCHEMA!r}, {digest!r}) as RECORDED_LAYOUTS, its new "
+        "value after the bump\n" + "\n".join(layouts)
+    )
+
+
+def test_schema_bump_misses_every_stage(lib, tmp_path, monkeypatch):
+    """A ``CACHE_SCHEMA`` bump moves every key: no stage hits an entry
+    written before it, and none of those entries is even read."""
+    from repro.engine import cache as cache_mod
+
+    run_desync(lib, make_engine(tmp_path), pipeline3(lib))
+    monkeypatch.setattr(cache_mod, "CACHE_SCHEMA", "bumped")
+    engine = make_engine(tmp_path)
+    run_desync(lib, engine, pipeline3(lib))
+    assert set(cache_states(engine).values()) == {"miss"}
+    assert engine.cache.stats.rejected == 0
+    engine = make_engine(tmp_path)
+    run_desync(lib, engine, pipeline3(lib))
+    assert set(cache_states(engine).values()) == {"hit"}
 
 
 def test_unusable_manifests_are_rejected_misses(tmp_path):
     import pickle
 
-    from repro.engine.cache import layout_stamp
+    from repro.engine.cache import MANIFEST_FORMAT
 
     cache = ArtifactCache(str(tmp_path / "cache"))
     keys = [f"{n:02d}" + "a" * 62 for n in range(4)]
     for key in keys:
         assert cache.put(key, {"x": [key]})
-    foreign, torn, bad_blob, _good = (cache._path(key) for key in keys)
-    with open(foreign, "rb") as handle:
+    old_format, torn, bad_blob, _good = (cache._path(key) for key in keys)
+    with open(old_format, "rb") as handle:
         manifest = pickle.load(handle)
-    assert manifest["layout"] == layout_stamp()
-    manifest["layout"] = "0" * 16
-    with open(foreign, "wb") as handle:
+    assert manifest["format"] == MANIFEST_FORMAT
+    # a manifest as written before the format moved to 3
+    manifest.update(format=2, layout="0" * 16)
+    with open(old_format, "wb") as handle:
         pickle.dump(manifest, handle)
     with open(torn, "r+b") as handle:
         handle.truncate(10)

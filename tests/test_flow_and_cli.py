@@ -190,17 +190,17 @@ def test_cli_cache_journal_jobs_round_trip(lib, tmp_path):
     warm = read_journal(str(journal))
     hits = [e for e in warm if e.get("cache") == "hit"]
     assert {e["stage"] for e in hits} == {
-        "import", "group", "ffsub", "ddg", "delays", "network", "constraints"
+        "import", "group", "ffsub", "ddg", "delays", "network", "constraints",
+        "export",
     }
 
 
-@pytest.mark.parametrize("damage", ["foreign-stamp", "truncated-sidecar"])
+@pytest.mark.parametrize("damage", ["schema-bump", "truncated-sidecar"])
 def test_cli_damaged_cache_matches_no_cache_run(lib, tmp_path, monkeypatch,
                                                 damage):
-    """Entries from another class layout, or with torn sidecars, are
-    recomputed: exit 0 and the same bytes as a ``--no-cache`` run."""
-    import pickle
-
+    """Entries written under another cache schema, or with torn
+    sidecars, are recomputed: exit 0 and the same bytes as a
+    ``--no-cache`` run."""
     from repro.engine import cache as cache_mod, read_journal
 
     # every artifact in a sidecar of its own, so each can be torn
@@ -221,11 +221,8 @@ def test_cli_damaged_cache_matches_no_cache_run(lib, tmp_path, monkeypatch,
     manifests = [path for path in files if "." not in path.stem]
     sidecars = [path for path in files if "." in path.stem]
     assert manifests and sidecars
-    if damage == "foreign-stamp":
-        for path in manifests:
-            manifest = pickle.loads(path.read_bytes())
-            manifest["layout"] = "0" * 16
-            path.write_bytes(pickle.dumps(manifest))
+    if damage == "schema-bump":
+        monkeypatch.setattr(cache_mod, "CACHE_SCHEMA", "bumped")
     else:
         for path in sidecars:
             path.write_bytes(path.read_bytes()[:40])
@@ -235,9 +232,177 @@ def test_cli_damaged_cache_matches_no_cache_run(lib, tmp_path, monkeypatch,
     )
     assert warm == reference
     events = read_journal(str(journal))
-    if damage == "foreign-stamp":
+    if damage == "schema-bump":
         stages = [e for e in events if e["event"] == "stage_end"]
-        assert stages and all(e["cache"] == "miss" for e in stages)
-        assert events[-1]["cache_stats"]["rejected"] == len(stages)
+        assert len(stages) == 8 and all(e["cache"] == "miss" for e in stages)
+        assert events[-1]["cache_stats"]["rejected"] == 0
     else:
         assert [e for e in events if e["event"] == "cache_evict"]
+
+
+# ---------------------------------------------------------------------------
+# the cached re-run: keyed on the input bytes, answered from ``export``
+
+
+def _cli_outputs(tmp_path, src, tag, *flags):
+    """Run the CLI; returns ({suffix: bytes} of its outputs, the stage
+    cache states of its run journal)."""
+    from repro.engine import read_journal
+
+    outputs = {
+        suffix: tmp_path / f"{tag}.{suffix}"
+        for suffix in ("v", "sdc", "blif", "gatefile")
+    }
+    argv = [str(src), "-o", str(outputs["v"]), "--sdc", str(outputs["sdc"])]
+    for option in ("blif", "gatefile"):
+        if f"--{option}" in flags:
+            argv += [f"--{option}", str(outputs[option])]
+    journal = tmp_path / f"{tag}.jsonl"
+    argv += [flag for flag in flags if flag not in ("--blif", "--gatefile")]
+    assert cli_main(argv + ["--journal", str(journal), "--quiet"]) == 0
+    states = {
+        event["stage"]: event["cache"]
+        for event in read_journal(str(journal))
+        if event["event"] == "stage_end"
+    }
+    written = {
+        suffix: path.read_bytes()
+        for suffix, path in outputs.items()
+        if path.exists()
+    }
+    return written, states
+
+
+def test_cli_rerun_reads_neither_netlist_nor_module(lib, tmp_path,
+                                                    monkeypatch):
+    """On a filled cache the CLI neither parses the input nor unpickles a
+    ``Module``, and writes the bytes of a ``--no-cache`` run."""
+    import repro.cli
+    from repro.engine import cache as cache_mod
+    from repro.engine.cache import LazyArtifact
+    from repro.netlist.core import Module
+
+    # every artifact in a sidecar of its own, so each load is seen
+    monkeypatch.setattr(cache_mod, "INLINE_LIMIT", 0)
+    src = _write_design(lib, tmp_path)
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    reference, _ = _cli_outputs(tmp_path, src, "reference", "--no-cache")
+    cold, states = _cli_outputs(tmp_path, src, "cold", *cache)
+    assert cold == reference and set(states.values()) == {"miss"}
+
+    parses, modules = [], []
+
+    def no_parse(path):
+        parses.append(path)
+        raise AssertionError("the input was parsed")
+
+    load = LazyArtifact.load
+
+    def spy_load(self):
+        value = load(self)
+        if isinstance(value, Module):
+            modules.append(self.path)
+        return value
+
+    monkeypatch.setattr(repro.cli, "read_verilog", no_parse)
+    monkeypatch.setattr(LazyArtifact, "load", spy_load)
+    warm, states = _cli_outputs(tmp_path, src, "warm", *cache)
+    assert warm == reference
+    assert len(states) == 8 and set(states.values()) == {"hit"}
+    assert parses == [] and modules == []
+
+
+def test_cli_input_bytes_and_top_key_the_import(lib, tmp_path):
+    """Any change to the input's bytes, or another ``--top``, misses
+    ``import``: the run is keyed on the file, not on its netlist."""
+    src = _write_design(lib, tmp_path)
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    reference, _ = _cli_outputs(tmp_path, src, "reference", "--no-cache")
+    _cli_outputs(tmp_path, src, "cold", *cache)
+
+    src.write_bytes(src.read_bytes() + b"\n")  # same netlist, new bytes
+    edited, states = _cli_outputs(tmp_path, src, "edited", *cache)
+    assert states["import"] == "miss" and states["delays"] == "hit"
+    assert edited == reference
+
+    top = parse_verilog(src.read_text()).top.name
+    named, states = _cli_outputs(tmp_path, src, "named", *cache, "--top", top)
+    assert states["import"] == "miss"
+    assert named == reference
+    _, states = _cli_outputs(tmp_path, src, "again", *cache, "--top", top)
+    assert set(states.values()) == {"hit"}
+
+
+def test_cli_new_margin_misses_only_downstream_stages(lib, tmp_path):
+    src = _write_design(lib, tmp_path)
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    _cli_outputs(tmp_path, src, "cold", *cache)
+    margin = ("--margin", "0.3")
+    reference, _ = _cli_outputs(
+        tmp_path, src, "reference", "--no-cache", *margin
+    )
+    warm, states = _cli_outputs(tmp_path, src, "warm", *cache, *margin)
+    assert warm == reference
+    assert {stage for stage, state in states.items() if state == "miss"} == {
+        "network", "constraints", "export"
+    }
+
+
+def test_cli_blif_and_gatefile_on_a_filled_cache(lib, tmp_path):
+    """``--blif`` re-runs only ``export``; both extra outputs match an
+    uncached run."""
+    src = _write_design(lib, tmp_path)
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    _cli_outputs(tmp_path, src, "cold", *cache)
+    extra = ("--blif", "--gatefile")
+    reference, _ = _cli_outputs(
+        tmp_path, src, "reference", "--no-cache", *extra
+    )
+    assert set(reference) == {"v", "sdc", "blif", "gatefile"}
+    warm, states = _cli_outputs(tmp_path, src, "warm", *cache, *extra)
+    assert warm == reference
+    assert {stage for stage, state in states.items() if state == "miss"} == {
+        "export"
+    }
+
+
+def test_cli_import_loads_only_the_conversion(lib, tmp_path):
+    """``import repro.cli`` plus a run on a filled cache loads no graph
+    library and none of the packages a conversion does not run."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = _write_design(lib, tmp_path)
+    argv = [str(src), "-o", str(tmp_path / "out.v"), "--cache-dir",
+            str(tmp_path / "cache"), "--quiet"]
+    assert cli_main(argv) == 0
+    script = (
+        "import json, sys\n"
+        "import repro.cli\n"
+        f"code = repro.cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    unwanted = (
+        "networkx", "repro.sim", "repro.service", "repro.physical",
+        "repro.dft", "repro.flow", "repro.power", "repro.variability",
+        "repro.designs", "repro.obs.bench",
+    )
+    loaded = [
+        name for name in modules
+        if any(name == root or name.startswith(root + ".")
+               for root in unwanted)
+    ]
+    assert loaded == []

@@ -174,9 +174,9 @@ def test_measured_period_close_to_model(lib):
 
 
 def test_max_cycle_ratio():
-    import networkx as nx
+    from repro.desync.ddg import DiGraph
 
-    graph = nx.DiGraph()
+    graph = DiGraph()
     graph.add_edge("a", "b", weight=2.0, tokens=1.0)
     graph.add_edge("b", "a", weight=4.0, tokens=1.0)
     graph.add_edge("b", "b", weight=5.0, tokens=1.0)
