@@ -1,12 +1,13 @@
 """Per-job trace overhead gate + trace-registry soak for the service.
 
-Every daemon job runs under its own scoped span tracer (ring bounded,
-mirrored into the job's journal).  This measures what that costs: warm
-re-runs of one job body -- :func:`repro.service.execute_job` on a
-shared, already-filled artifact cache -- alternate in paired rounds
-between an arm with no tracer scope and an arm under
-``trace.scoped(Tracer(journal=..., max_spans=..., trace_id=...))``,
-exactly the tracer the daemon scopes onto its worker threads.  Which
+Every daemon job runs in its own observability context with a span
+tracer (ring bounded, mirrored into the job's journal).  This measures
+what that tracer costs: warm re-runs of one job body --
+:func:`repro.service.execute_job` on a shared, already-filled artifact
+cache -- alternate in paired rounds between an arm whose context has
+tracing off and an arm under
+``use(Context(tracer=Tracer(journal=..., max_spans=..., trace_id=...)))``,
+exactly the tracer the daemon enters on its worker threads.  Which
 arm goes first flips every round, so scheduler drift hits both
 equally.  The comparison uses the per-arm *minimum* warm latency -- OS
 noise on a warm job is strictly additive, so the min isolates the
@@ -50,7 +51,7 @@ from repro.engine import ArtifactCache, FlowEngine, RunJournal  # noqa: E402
 from repro.engine import read_journal  # noqa: E402
 from repro.liberty import core9_hs  # noqa: E402
 from repro.obs import bench as obs_bench  # noqa: E402
-from repro.obs import trace  # noqa: E402
+from repro.obs import Context, Tracer, use  # noqa: E402
 from repro.service import (  # noqa: E402
     JobSpec,
     ServiceClient,
@@ -86,15 +87,15 @@ def _timed_job(spec: JobSpec, library, cache, run_dir: str,
     journal = RunJournal(
         os.path.join(run_dir, f"{trace_id}.jsonl"), trace_id=trace_id
     )
-    tracer = (
-        trace.Tracer(
+    context = (
+        Context(tracer=Tracer(
             journal=journal, max_spans=MAX_TRACE_SPANS, trace_id=trace_id
-        )
+        ))
         if traced
-        else None
+        else Context()
     )
     start = time.perf_counter()
-    with trace.scoped(tracer):
+    with use(context):
         execute_job(spec, library, FlowEngine(cache=cache, journal=journal))
     wall = time.perf_counter() - start
     journal.close()
@@ -102,7 +103,7 @@ def _timed_job(spec: JobSpec, library, cache, run_dir: str,
 
 
 def measure_overhead(warm_jobs: int) -> dict:
-    """Paired warm-job A/B: no tracer scope vs a per-job tracer.
+    """Paired warm-job A/B: tracing off vs a per-job tracer.
 
     Both arms share one library and one filled cache; rounds alternate
     which arm runs first.  Each arm is summarized by its minimum warm

@@ -79,6 +79,7 @@ from .liberty.parser import read_liberty
 from .netlist.core import Module
 from .netlist.verilog import read_verilog
 from .obs import metrics, prof, trace
+from .obs.context import Context, use
 from .obs.logsetup import configure_logging
 
 EXIT_OK = 0
@@ -457,18 +458,15 @@ def _run_flow(args: argparse.Namespace) -> int:
 
     # observability is opt-in: spans mirror into the run journal so one
     # artifact carries both the stage records and the timing tree
-    tracer = None
+    observers: Dict[str, Any] = {}
     if args.trace:
-        tracer = trace.Tracer(journal=journal if args.journal else None)
-        trace.set_tracer(tracer)
-    registry = None
+        observers["tracer"] = trace.Tracer(
+            journal=journal if args.journal else None
+        )
     if args.metrics:
-        registry = metrics.MetricsRegistry()
-        metrics.set_registry(registry)
-    profiler = None
+        observers["registry"] = metrics.MetricsRegistry()
     if args.profile or args.profile_out:
-        profiler = prof.Profiler(enabled=True)
-        prof.set_profiler(profiler)
+        observers["profiler"] = prof.Profiler(enabled=True)
 
     tool = Drdesync(library, engine=engine)
     options = DesyncOptions(
@@ -478,36 +476,30 @@ def _run_flow(args: argparse.Namespace) -> int:
         delay_mux_taps=args.mux_taps,
     )
     try:
-        if args.eco:
-            result, outputs = _run_eco(args, library, options, cache)
-        else:
-            result, outputs = _convert(args, tool, options)
-        _write_outputs(args, tool, outputs)
-        summary = outputs["summary"]
+        with use(Context(**observers)) as context:
+            if args.eco:
+                result, outputs = _run_eco(args, library, options, cache)
+            else:
+                result, outputs = _convert(args, tool, options)
+            _write_outputs(args, tool, outputs)
+            summary = outputs["summary"]
 
-        if registry is not None:
             for key, value in summary["counts"].items():
                 if isinstance(value, (int, float)):
                     metrics.gauge(f"desync.summary.{key}").set(value)
-        if tracer is not None or registry is not None or profiler is not None:
-            _write_observations(args, tracer, registry, profiler, summary)
+            if observers:
+                _write_observations(args, context, summary)
 
-        if args.vcd or args.handshake_report:
-            _observe_result(args, result, library)
+            if args.vcd or args.handshake_report:
+                _observe_result(args, result, library)
     finally:
         journal.close()
-        if tracer is not None:
-            trace.reset_tracer()
-        if registry is not None:
-            metrics.reset_registry()
-        if profiler is not None:
-            prof.reset_profiler()
 
     _print_summary(summary, engine, cache)
     return EXIT_OK
 
 
-def _write_observations(args, tracer, registry, profiler, summary) -> None:
+def _write_observations(args, context: Context, summary) -> None:
     """Write the ``--trace`` / ``--metrics`` / ``--profile`` outputs."""
     from .obs.export import (
         profile_report,
@@ -517,18 +509,19 @@ def _write_observations(args, tracer, registry, profiler, summary) -> None:
         write_profile,
     )
 
-    if tracer is not None:
+    tracer, registry, profiler = context
+    if tracer.enabled:
         write_chrome_trace(args.trace, tracer)
         log.info("trace written to %s (%d spans)", args.trace, len(tracer))
         log.debug("span summary:\n%s", summary_report(tracer))
-    if registry is not None:
+    if registry.enabled:
         write_metrics(args.metrics, registry)
         log.info(
             "metrics written to %s (%d instruments)",
             args.metrics,
             len(registry),
         )
-    if profiler is not None:
+    if profiler.enabled:
         overhead = profiler.overhead_estimate()
         log.info(
             "profiled %d stage(s) (machinery overhead %.4fs, "

@@ -217,26 +217,3 @@ def eco_calibrate(
             )
         )
     return report
-
-
-#: names forwarded lazily from :mod:`repro.flow.incremental` -- the
-#: incremental re-flow is the generalisation of this module's
-#: element-only ECO to arbitrary netlist edits, so its edit vocabulary
-#: lives here too.  Lazy (PEP 562) because ``desync/__init__`` imports
-#: this module before ``tool``, which ``flow.incremental`` needs.
-_INCREMENTAL_EXPORTS = (
-    "EditError",
-    "IncrementalSession",
-    "NetlistEdit",
-    "ReflowOutcome",
-    "apply_edit",
-    "load_edits",
-)
-
-
-def __getattr__(name):
-    if name in _INCREMENTAL_EXPORTS:
-        from ..flow import incremental
-
-        return getattr(incremental, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,8 @@ from enum import Enum
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..netlist.core import Module
-from ..obs import metrics, prof, trace
+from ..obs import metrics, trace
+from ..obs.context import current, use
 from .cache import (
     ArtifactCache,
     CacheEntryError,
@@ -271,12 +272,10 @@ class _RunState:
         self.engine = engine
         self.graph = graph
         self.label = label
-        # the effective tracer/profiler at run entry (a service job's
-        # scoped per-job instances, or the process singletons); pool
-        # threads re-activate the scope so parallel stages trace and
-        # profile into the right job
-        self.tracer = trace.get_tracer()
-        self.profiler = prof.get_profiler()
+        # the observability context at run entry (a CLI run's or a
+        # service job's); pool threads re-enter it so parallel stages
+        # trace, count and profile into the run that started them
+        self.context = current()
         self.order = graph.topological_order()
         self.artifacts: ArtifactMap = ArtifactMap(initial)
         self.records: Dict[str, StageRecord] = {}
@@ -379,9 +378,9 @@ class _RunState:
         returns (outputs, tries, thread CPU seconds)."""
         attempts = 0
         retries = max(stage.retries, self.engine.default_retries)
-        profiler = self.profiler
+        profiler = self.context.profiler
         cpu_start = time.thread_time()
-        with trace.scoped(self.tracer):
+        with use(self.context):
             while True:
                 attempts += 1
                 try:
@@ -398,9 +397,7 @@ class _RunState:
                         attempt=attempts,
                     ):
                         if profiler.enabled:
-                            # scoped so kernel counter hooks on this
-                            # thread attribute to this stage's profile
-                            with prof.scoped(profiler), profiler.stage(
+                            with profiler.stage(
                                 stage.name,
                                 self.graph.name,
                                 attempt=attempts,
@@ -666,29 +663,3 @@ class FlowEngine:
                 else None,
             )
         return result, state
-
-    def run_many(
-        self,
-        runs: Sequence[Tuple[FlowGraph, Dict[str, Any]]],
-        labels: Optional[Sequence[str]] = None,
-    ) -> List[FlowResult]:
-        """Execute several independent graphs as one batch.
-
-        With ``jobs > 1`` the batch fans out across a pool (each graph
-        still schedules its own stages with the engine's settings);
-        serial engines fall back to deterministic sequential order.
-        """
-        labels = list(labels) if labels is not None else [g.name for g, _ in runs]
-        if self.jobs <= 1 or len(runs) <= 1:
-            return [
-                self.run(graph, initial, label)
-                for (graph, initial), label in zip(runs, labels)
-            ]
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(runs))
-        ) as pool:
-            futures = [
-                pool.submit(self.run, graph, initial, label)
-                for (graph, initial), label in zip(runs, labels)
-            ]
-            return [future.result() for future in futures]

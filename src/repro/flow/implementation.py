@@ -37,6 +37,7 @@ from ..liberty.gatefile import Gatefile, build_gatefile
 from ..liberty.model import Library
 from ..netlist.core import Module
 from ..obs import trace
+from ..obs.context import current
 from ..physical.backend import BackendResult, run_backend
 from ..sta.analysis import min_clock_period
 from .reports import AreaReport, ComparisonTable, area_report
@@ -516,8 +517,7 @@ def compare_implementations(
     desync: ImplementationResult,
 ) -> ComparisonTable:
     """Assemble the Table 5.1 / 5.2 comparison."""
-    trace_id = getattr(trace.get_tracer(), "trace_id", None)
-    table = ComparisonTable(design_name, trace_id=trace_id)
+    table = ComparisonTable(design_name, trace_id=current().trace_id)
     table.add_phase("Post Synthesis", sync.post_synthesis, desync.post_synthesis)
     if sync.post_layout and desync.post_layout:
         table.add_phase("Post Layout", sync.post_layout, desync.post_layout)

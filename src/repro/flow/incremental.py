@@ -58,7 +58,6 @@ from ..desync.network import (
     region_delays,
 )
 from ..desync.regions import (
-    copy_region_map,
     regroup_incremental,
     validate_independence_for,
 )
@@ -352,9 +351,6 @@ class IncrementalSession:
                 self._snap_imported = artifacts["module.imported"].clone()
             elif name == "group":
                 self._snap_grouped = artifacts["module.grouped"].clone()
-                artifacts["region_map.grouped"] = copy_region_map(
-                    artifacts["region_map"]
-                )
             elif name == "ffsub":
                 self._snap_ffsub = artifacts["module.ffsub"].clone()
 

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..desync.tool import DesyncResult
 from ..liberty.model import Library
-from ..obs import trace as trace_mod
+from ..obs.context import current
 from ..obs.vcd import VcdWriter
 from ..sim.probes import DeadlockWatchdog, HandshakeProbe, handshake_report
 from ..sim.simulator import SimulationError, Simulator
@@ -120,9 +120,9 @@ def observe_handshake(
     if error is not None:
         report["error"] = error
     # correlate the report with the surrounding run: when this
-    # observation happens inside a traced job (the service daemon
-    # scopes a per-job tracer around execute_job), stamp its trace ID
-    trace_id = getattr(trace_mod.get_tracer(), "trace_id", None)
+    # observation happens inside a traced job (the service daemon runs
+    # execute_job in the job's context), stamp its trace ID
+    trace_id = current().trace_id
     if trace_id is not None:
         report["trace_id"] = trace_id
     return ObservationResult(

@@ -4,26 +4,27 @@ The observability layer of the reproduction: a hierarchical span
 tracer (:mod:`repro.obs.trace`), a metrics registry of counters,
 gauges and fixed-bucket histograms (:mod:`repro.obs.metrics`), an
 opt-in per-stage profiler with cProfile + tracemalloc capture
-(:mod:`repro.obs.prof`), the unified benchmark-result schema, history
-store and statistical regression detector (:mod:`repro.obs.bench`),
-the exporters that turn them into Chrome trace-event JSON / speedscope
-profiles / text reports / ``metrics.json`` (:mod:`repro.obs.export`),
-and the ``logging`` configuration for the ``repro`` logger hierarchy
+(:mod:`repro.obs.prof`), the per-run :class:`Context` that bundles
+the three and is installed per thread (:mod:`repro.obs.context`), the
+unified benchmark-result schema, history store and statistical
+regression detector (:mod:`repro.obs.bench`), the exporters that turn
+them into Chrome trace-event JSON / speedscope profiles / text reports
+/ ``metrics.json`` (:mod:`repro.obs.export`), and the ``logging``
+configuration for the ``repro`` logger hierarchy
 (:mod:`repro.obs.logsetup`).
 
 Tracing, metrics and profiling are disabled by default and
 near-zero-cost in that state; the CLI's ``--trace`` / ``--metrics`` /
-``--profile`` flags (or an explicit ``set_tracer`` / ``set_registry``
-/ ``set_profiler``) opt in::
+``--profile`` flags (or a ``with use(Context(...))`` block) opt in::
 
-    from repro.obs import trace, metrics, prof
+    from repro.obs import Context, Profiler, Tracer, use
     from repro.obs.export import write_chrome_trace, write_profile
 
-    trace.set_tracer(trace.Tracer())
-    prof.set_profiler(prof.Profiler())
-    ...run the flow...
-    write_chrome_trace("trace.json")      # open in ui.perfetto.dev
-    write_profile("profile-out")          # open in speedscope.app
+    run = Context(tracer=Tracer(), profiler=Profiler())
+    with use(run):
+        ...run the flow...
+    write_chrome_trace("trace.json", run.tracer)   # open in ui.perfetto.dev
+    write_profile("profile-out", run.profiler)     # open in speedscope.app
 
 The submodules load on first use (``from repro.obs import metrics``, or
 any name below), so a conversion that only counts and traces never
@@ -38,6 +39,9 @@ _EXPORTS = {
     "BenchResult": "bench",
     "check_regression": "bench",
     "machine_metadata": "bench",
+    "Context": "context",
+    "current": "context",
+    "use": "context",
     "aggregate_spans": "export",
     "chrome_trace_events": "export",
     "collapsed_stacks": "export",
@@ -69,7 +73,10 @@ _EXPORTS = {
     "read_vcd": "vcd",
 }
 
-_SUBMODULES = ("bench", "export", "logsetup", "metrics", "prof", "trace", "vcd")
+_SUBMODULES = (
+    "bench", "context", "export", "logsetup", "metrics", "prof", "trace",
+    "vcd",
+)
 
 __all__ = sorted((*_EXPORTS, *_SUBMODULES))
 

@@ -36,10 +36,11 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry, get_registry
-from .prof import Profiler, get_profiler
+from .context import current
+from .metrics import MetricsRegistry
+from .prof import Profiler
 from .prof import _func_label as _frame_label
-from .trace import Span, Tracer, get_tracer
+from .trace import Tracer
 
 #: speedscope's published file-format schema URL
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
@@ -50,7 +51,7 @@ STAGE_PREFIX = "stage:"
 
 def chrome_trace_events(tracer: Optional[Tracer] = None) -> List[Dict[str, Any]]:
     """Finished spans as a list of Chrome trace-event dicts."""
-    tracer = tracer or get_tracer()
+    tracer = tracer if tracer is not None else current().tracer
     pid = os.getpid()
     trace_id = getattr(tracer, "trace_id", None)
     events: List[Dict[str, Any]] = []
@@ -98,7 +99,7 @@ def trace_document(tracer: Optional[Tracer] = None) -> Dict[str, Any]:
     count when present, so a service trace names the job it belongs to
     and admits when its ring buffer clipped history.
     """
-    tracer = tracer or get_tracer()
+    tracer = tracer if tracer is not None else current().tracer
     other: Dict[str, Any] = {"producer": "repro.obs"}
     trace_id = getattr(tracer, "trace_id", None)
     if trace_id is not None:
@@ -128,7 +129,7 @@ def aggregate_spans(tracer: Optional[Tracer] = None) -> Dict[str, Dict[str, Any]
     Self time is the span's duration minus its direct children's, i.e.
     where the wall clock actually went.
     """
-    tracer = tracer or get_tracer()
+    tracer = tracer if tracer is not None else current().tracer
     spans = tracer.finished()
     child_time: Dict[int, float] = {}
     for span in spans:
@@ -185,9 +186,9 @@ def summary_report(
     profiler's overhead estimate so bounded retention is visible
     instead of silent.  ``profiler`` defaults to the effective one.
     """
-    tracer = tracer or get_tracer()
+    tracer = tracer if tracer is not None else current().tracer
     if profiler is None:
-        profiler = get_profiler()
+        profiler = current().profiler
     footer = _retention_footer(tracer, profiler)
     aggregated = aggregate_spans(tracer)
     if not aggregated:
@@ -245,7 +246,8 @@ def phase_times(
                     + event.get("dur", 0.0) / 1e6
                 )
     else:
-        for span in (tracer or get_tracer()).finished():
+        tracer = tracer if tracer is not None else current().tracer
+        for span in tracer.finished():
             if span.name.startswith(prefix):
                 totals[span.name[len(prefix):]] = (
                     totals.get(span.name[len(prefix):], 0.0) + span.duration
@@ -357,7 +359,7 @@ def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
     """
     from .metrics import split_name
 
-    registry = registry or get_registry()
+    registry = registry if registry is not None else current().registry
     snapshot = registry.snapshot()
     help_texts = (
         registry.help_texts() if hasattr(registry, "help_texts") else {}
@@ -412,7 +414,9 @@ def write_metrics(
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Persist a metrics snapshot (plus ``extra`` fields) as JSON."""
-    snapshot = (registry or get_registry()).snapshot()
+    if registry is None:
+        registry = current().registry
+    snapshot = registry.snapshot()
     if extra:
         snapshot.update(extra)
     with open(path, "w") as handle:
@@ -468,7 +472,7 @@ def folded_stacks(
     profiler: Optional[Profiler] = None,
 ) -> List[Tuple[str, List[_FuncKey], float]]:
     """``(stage, root-first frames, self seconds)`` per hot function."""
-    profiler = profiler or get_profiler()
+    profiler = profiler if profiler is not None else current().profiler
     out: List[Tuple[str, List[_FuncKey], float]] = []
     for record in profiler.profiles():
         for func in sorted(record.raw_stats):
@@ -510,7 +514,7 @@ def speedscope_document(
     frame table.  Validates against speedscope's published schema and
     opens directly at https://www.speedscope.app.
     """
-    profiler = profiler or get_profiler()
+    profiler = profiler if profiler is not None else current().profiler
     frames: List[Dict[str, Any]] = []
     frame_index: Dict[_FuncKey, int] = {}
 
@@ -569,7 +573,7 @@ def profile_document(
     and written by the CLI's ``--profile-out``: everything a human (or
     a flame-graph tool) needs to answer *where the time went*.
     """
-    profiler = profiler or get_profiler()
+    profiler = profiler if profiler is not None else current().profiler
     document = profiler.to_dict()
     document["schema"] = "repro-profile/v1"
     document["speedscope"] = speedscope_document(profiler, name=name)
@@ -578,7 +582,7 @@ def profile_document(
 
 def profile_report(profiler: Optional[Profiler] = None) -> str:
     """Per-stage hot-function tables as plain text."""
-    profiler = profiler or get_profiler()
+    profiler = profiler if profiler is not None else current().profiler
     records = profiler.profiles()
     if not records:
         return "(no stage profiles captured)"
@@ -634,7 +638,7 @@ def write_profile(
     ``<prefix>.speedscope.json``, ``<prefix>.collapsed.txt`` and
     ``<prefix>.txt`` (hot tables); returns ``{kind: path}``.
     """
-    profiler = profiler or get_profiler()
+    profiler = profiler if profiler is not None else current().profiler
     os.makedirs(out_dir, exist_ok=True)
     document = profile_document(profiler, name=name)
     paths = {

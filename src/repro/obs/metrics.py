@@ -10,11 +10,13 @@ instruments in a :class:`MetricsRegistry`::
     metrics.counter("desync.ffsub.replaced").inc(42)
     metrics.histogram("desync.region.size", buckets=(1, 10, 100)).observe(37)
 
-Like tracing, metrics collection is **disabled by default**: the
-module-level helpers then return shared no-op instruments, so
-instrumented code pays one lookup and one ``if``.  A registry snapshot
-serialises to plain JSON (:meth:`MetricsRegistry.snapshot`, exported
-by :func:`repro.obs.export.write_metrics`).
+The module-level helpers record into the registry of the current
+:class:`repro.obs.context.Context`.  Like tracing, metrics collection
+is **disabled by default**: the helpers then return shared no-op
+instruments, so instrumented code pays one thread-local read and one
+``if``.  A registry snapshot serialises to plain JSON
+(:meth:`MetricsRegistry.snapshot`, exported by
+:func:`repro.obs.export.write_metrics`).
 
 Instruments may carry **labels** -- ``registry.gauge("repro.jobs",
 labels={"state": "queued"})`` -- which keep one logical metric per
@@ -274,31 +276,12 @@ class MetricsRegistry:
             return len(self._instruments)
 
 
-#: the process-wide active registry; disabled until someone opts in
-_active = MetricsRegistry(enabled=False)
-
-
-def get_registry() -> MetricsRegistry:
-    return _active
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    global _active
-    _active = registry
-    return registry
-
-
-def reset_registry() -> MetricsRegistry:
-    """Restore the disabled default registry (tests, CLI teardown)."""
-    return set_registry(MetricsRegistry(enabled=False))
-
-
 def counter(name: str, labels: Optional[Dict[str, str]] = None) -> Counter:
-    return _active.counter(name, labels)
+    return _context.current().registry.counter(name, labels)
 
 
 def gauge(name: str, labels: Optional[Dict[str, str]] = None) -> Gauge:
-    return _active.gauge(name, labels)
+    return _context.current().registry.gauge(name, labels)
 
 
 def histogram(
@@ -306,8 +289,13 @@ def histogram(
     buckets: Sequence[float] = DEFAULT_BUCKETS,
     labels: Optional[Dict[str, str]] = None,
 ) -> Histogram:
-    return _active.histogram(name, buckets, labels)
+    return _context.current().registry.histogram(name, buckets, labels)
 
 
 def enabled() -> bool:
-    return _active.enabled
+    return _context.current().registry.enabled
+
+
+# imported last: the context module builds its defaults from the
+# classes above
+from . import context as _context  # noqa: E402

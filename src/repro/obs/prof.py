@@ -18,14 +18,13 @@ A :class:`Profiler` wraps each stage callable the engine executes:
   the Monte-Carlo batch kernel reports lane occupancy -- via the
   module-level :func:`add_counters` / :func:`peak_counters` hooks.
 
-Profiling follows the tracer's activation model exactly: a disabled
-process-wide singleton, :func:`set_profiler` / :func:`reset_profiler`
-for one-shot CLI opt-in, and :func:`scoped` for thread-scoped per-job
-activation in the service daemon.  The engine captures the effective
-profiler at run entry and re-enters the scope on its pool threads, so
-parallel stages attribute to the right job's profile.
+The profiler of a run is the ``profiler`` of its
+:class:`repro.obs.context.Context`, disabled unless the run opts in
+(the CLI's ``--profile``, a service job's ``profile``).  The engine
+captures the context at run entry and re-enters it on its pool
+threads, so parallel stages attribute to the right run's profile.
 
-The disabled fast path is one attribute lookup and one ``if`` per
+The disabled fast path is one thread-local read and one ``if`` per
 stage (and per kernel counter flush) -- the ``bench_obs.py`` A/B gate
 holds the measured disabled-path overhead on the warm DLX flow under
 2%.
@@ -375,63 +374,9 @@ class Profiler:
         }
 
 
-#: the process-wide active profiler; disabled until someone opts in
-_active = Profiler(enabled=False)
-
-#: per-thread profiler override (the service daemon's per-job scope)
-_scope = threading.local()
-
-
-def get_profiler() -> Profiler:
-    """The effective profiler: the thread's scoped one, else the global."""
-    scoped_profiler = getattr(_scope, "profiler", None)
-    return scoped_profiler if scoped_profiler is not None else _active
-
-
-def set_profiler(profiler: Profiler) -> Profiler:
-    """Install ``profiler`` as the process-wide active profiler."""
-    global _active
-    _active = profiler
-    return profiler
-
-
-def reset_profiler() -> Profiler:
-    """Restore the disabled default profiler (tests, CLI teardown)."""
-    return set_profiler(Profiler(enabled=False))
-
-
-@contextlib.contextmanager
-def scoped(profiler: Optional[Profiler]):
-    """Activate ``profiler`` for the current thread only.
-
-    Mirrors :func:`repro.obs.trace.scoped`: ``None`` is a no-op scope,
-    scopes nest, and the previous override is restored on exit.
-    """
-    if profiler is None:
-        yield None
-        return
-    previous = getattr(_scope, "profiler", None)
-    _scope.profiler = profiler
-    try:
-        yield profiler
-    finally:
-        _scope.profiler = previous
-
-
-def stage(name: str, graph: str = "", **attrs: Any):
-    """Profile a stage on the effective profiler (engine entry point)."""
-    profiler = getattr(_scope, "profiler", None)
-    if profiler is None:
-        profiler = _active
-    return profiler.stage(name, graph, **attrs)
-
-
 def enabled() -> bool:
-    """Disabled fast path: one attribute lookup plus one ``if``."""
-    profiler = getattr(_scope, "profiler", None)
-    if profiler is None:
-        profiler = _active
-    return profiler.enabled
+    """Disabled fast path: one thread-local read plus one ``if``."""
+    return _context.current().profiler.enabled
 
 
 def add_counters(**counters: float) -> None:
@@ -440,9 +385,7 @@ def add_counters(**counters: float) -> None:
     No-op (one lookup, one ``if``) when profiling is disabled or no
     stage is being captured on this thread.
     """
-    profiler = getattr(_scope, "profiler", None)
-    if profiler is None:
-        profiler = _active
+    profiler = _context.current().profiler
     if not profiler.enabled:
         return
     profiler.add_counters(**counters)
@@ -450,9 +393,12 @@ def add_counters(**counters: float) -> None:
 
 def peak_counters(**counters: float) -> None:
     """High-water kernel counters (max-merge) for the active stage."""
-    profiler = getattr(_scope, "profiler", None)
-    if profiler is None:
-        profiler = _active
+    profiler = _context.current().profiler
     if not profiler.enabled:
         return
     profiler.peak_counters(**counters)
+
+
+# imported last: the context module builds its defaults from the
+# classes above
+from . import context as _context  # noqa: E402

@@ -16,33 +16,24 @@ subtree.  Finished spans accumulate on the tracer and are exported by
 :mod:`repro.obs.export` as Chrome trace-event JSON (chrome://tracing,
 Perfetto) or a plain-text summary.
 
-Tracing is **disabled by default** and designed to be near-zero-cost
-in that state: ``trace.span(...)`` on a disabled tracer returns a
-shared no-op span without allocating, so instrumented hot paths pay
-one attribute lookup and one ``if``.
+The module-level :func:`span` records into the tracer of the current
+:class:`repro.obs.context.Context`.  Tracing is **disabled by default**
+and designed to be near-zero-cost in that state: a span on a disabled
+tracer is a shared no-op that allocates nothing, so instrumented hot
+paths pay one thread-local read and one ``if``.
 
 A tracer can mirror finished spans into a
 :class:`repro.engine.journal.RunJournal` (duck-typed via ``record``)
 so the JSONL run journal and the trace tree tell one story.
 
-Two daemon-grade extensions sit on top of the one-shot model:
-
-- **bounded retention** -- ``Tracer(max_spans=N)`` keeps only the
-  newest N finished spans (a ring buffer) and counts the rest in
-  :attr:`Tracer.dropped`, so ``--trace`` on a long-lived process
-  cannot grow memory without bound.  The default (``max_spans=None``)
-  keeps every span, byte-identical to the original behaviour.
-- **thread-scoped activation** -- :func:`scoped` installs a tracer for
-  the current thread only, overriding the process-wide singleton, so a
-  service daemon can give every job its own tracer (tagged with the
-  job's ``trace_id``) without jobs seeing each other's spans.  The
-  engine re-activates the scope on its pool threads, so parallel
-  stages still land in the right job's tracer.
+**Bounded retention** suits a long-lived daemon: ``Tracer(max_spans=N)``
+keeps only the newest N finished spans (a ring buffer) and counts the
+rest in :attr:`Tracer.dropped`, so a job's tracer cannot grow memory
+without bound.  The default (``max_spans=None``) keeps every span.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from collections import deque
@@ -227,62 +218,18 @@ class Tracer:
             return len(self._finished)
 
 
-#: the process-wide active tracer; disabled until someone opts in
-_active = Tracer(enabled=False)
-
-#: per-thread tracer override (the service daemon's per-job scope)
-_scope = threading.local()
-
-
-def get_tracer() -> Tracer:
-    """The effective tracer: the thread's scoped one, else the global."""
-    scoped_tracer = getattr(_scope, "tracer", None)
-    return scoped_tracer if scoped_tracer is not None else _active
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the process-wide active tracer."""
-    global _active
-    _active = tracer
-    return tracer
-
-
-def reset_tracer() -> Tracer:
-    """Restore the disabled default tracer (tests, CLI teardown)."""
-    return set_tracer(Tracer(enabled=False))
-
-
-@contextlib.contextmanager
-def scoped(tracer: Optional[Tracer]):
-    """Activate ``tracer`` for the current thread only.
-
-    Everything this thread records through the module-level
-    :func:`span` helper while the context is open lands in ``tracer``
-    instead of the process-wide singleton; other threads are
-    unaffected.  ``None`` is a no-op scope (useful for call sites that
-    may or may not have a per-job tracer).  Scopes nest and restore the
-    previous override on exit.
-    """
-    if tracer is None:
-        yield None
-        return
-    previous = getattr(_scope, "tracer", None)
-    _scope.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _scope.tracer = previous
-
-
 def span(name: str, **attrs: Any):
-    """Open a span on the effective tracer (the instrumentation entry)."""
-    tracer = getattr(_scope, "tracer", None)
-    if tracer is None:
-        tracer = _active
+    """Open a span on the current context's tracer."""
+    tracer = _context.current().tracer
     if not tracer.enabled:
         return NULL_SPAN
     return Span(tracer, name, attrs)
 
 
 def enabled() -> bool:
-    return get_tracer().enabled
+    return _context.current().tracer.enabled
+
+
+# imported last: the context module builds its defaults from the
+# classes above
+from . import context as _context  # noqa: E402

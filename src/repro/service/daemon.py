@@ -14,10 +14,12 @@ One :class:`ServiceDaemon` owns
 - a metrics registry re-exported over ``/metrics`` (JSON, or the
   Prometheus text exposition): jobs by state, queue depth, cache hit
   rate, per-stage latency histograms;
-- per-job trace correlation: every job gets a trace ID and its own
-  span tracer (scoped to the worker thread, ring bounded, exported
-  over ``GET /jobs/<id>/trace``), plus a profiler for ``profile``
-  jobs; both are retained in one LRU bounded by ``max_traces``.
+- per-job trace correlation: every job runs in its own
+  :class:`~repro.obs.context.Context` -- the daemon's registry, a trace
+  ID and span tracer (ring bounded, exported over
+  ``GET /jobs/<id>/trace``), plus a profiler for ``profile`` jobs --
+  entered on the worker thread and retained in one LRU bounded by
+  ``max_traces``.
 
 Lifecycle: jobs that raise are settled ``failed`` without touching the
 daemon (crash isolation); :meth:`drain` stops intake and waits for
@@ -36,9 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..engine.cache import ArtifactCache
 from ..engine.executor import FlowEngine
 from ..engine.journal import RunJournal
-from ..obs import metrics as metrics_mod
-from ..obs import prof as prof_mod
-from ..obs import trace as trace_mod
+from ..obs.context import Context, use
 from ..obs.export import profile_document, trace_document
 from ..obs.metrics import MetricsRegistry
 from ..obs.prof import Profiler
@@ -100,7 +100,9 @@ class ServiceDaemon:
             max_bytes=cache_max_bytes,
         )
         self.flow_jobs = max(1, int(flow_jobs))
-        self.registry = registry or MetricsRegistry()
+        self.registry = (
+            registry if registry is not None else MetricsRegistry()
+        )
         for name, help_text in _METRIC_HELP.items():
             self.registry.describe(name, help_text)
         # pre-create the settle counters so /metrics exposes them at 0
@@ -108,7 +110,6 @@ class ServiceDaemon:
         # never incremented then reads 0 instead of a missing series
         for state in ("done", "failed", "cancelled"):
             self.registry.counter(f"service.jobs.{state}")
-        self._previous_registry: Optional[MetricsRegistry] = None
         self.journal = RunJournal(
             os.path.join(self.run_dir, "daemon.jsonl"), append=True
         )
@@ -122,10 +123,10 @@ class ServiceDaemon:
         # rebuilt from the job chain on demand)
         self._sessions: "OrderedDict[str, Any]" = OrderedDict()
         self._session_cap = max(1, int(eco_sessions))
-        # per-job observability: job id -> (tracer, profiler or None),
-        # newest last; one LRU bounded by ``max_traces`` so a daemon
-        # fielding jobs forever stays flat in memory
-        self._job_observers: "OrderedDict[str, tuple]" = OrderedDict()
+        # per-job observability: job id -> the job's Context, newest
+        # last; one LRU bounded by ``max_traces`` so a daemon fielding
+        # jobs forever stays flat in memory
+        self._job_observers: "OrderedDict[str, Context]" = OrderedDict()
         self._max_traces = max(1, int(max_traces))
         self._max_trace_spans = max_trace_spans
         self._max_profile_stages = max_profile_stages
@@ -135,11 +136,6 @@ class ServiceDaemon:
             max_pending=max_pending,
             on_settle=self._on_settle,
         )
-        # flow code reports through the module-level helpers; route
-        # them into this daemon's registry so /metrics sees engine
-        # cache hits and stage counters too
-        self._previous_registry = metrics_mod.get_registry()
-        metrics_mod.set_registry(self.registry)
         self.journal.record(
             "daemon_start",
             run_dir=self.run_dir,
@@ -256,12 +252,13 @@ class ServiceDaemon:
     def _run_job(self, job_id: str, spec: JobSpec, library, trace_id: str):
         """Worker body: one flow run on a per-job engine + journal.
 
-        The job's tracer is activated *for this worker thread only*
-        (:func:`repro.obs.trace.scoped`), so concurrent jobs never see
-        each other's spans and the process-global tracer -- which a
-        long daemon must not grow -- stays untouched.  The per-job
-        journal carries the trace ID on every line; the tracer mirrors
-        its spans into the same journal.
+        The job's :class:`~repro.obs.context.Context` -- this daemon's
+        registry, the job's tracer and its optional profiler -- is
+        entered *for this worker thread only*, so concurrent jobs never
+        see each other's spans and two daemons in one process never
+        count each other's jobs.  The per-job journal carries the trace
+        ID on every line; the tracer mirrors its spans into the same
+        journal.
         """
         journal = RunJournal(
             self.job_journal_path(job_id), append=True, trace_id=trace_id
@@ -271,44 +268,24 @@ class ServiceDaemon:
             max_spans=self._max_trace_spans,
             trace_id=trace_id,
         )
-        # --profile jobs get a per-job profiler scoped to this worker
-        # thread (and re-scoped onto engine pool threads)
-        profiler = None
+        observers: Dict[str, Any] = {
+            "tracer": tracer, "registry": self.registry,
+        }
         if spec.profile:
-            profiler = Profiler(
+            observers["profiler"] = Profiler(
                 enabled=True,
                 max_profiles=self._max_profile_stages,
                 profile_id=trace_id,
             )
             self.registry.counter("service.profiles.captured").inc()
-        self._retain(job_id, tracer, profiler)
-        engine = FlowEngine(
-            cache=self.cache, journal=journal, jobs=self.flow_jobs
-        )
+        context = Context(**observers)
+        self._retain(job_id, context)
         try:
-            if spec.parent is not None:
-                with trace_mod.scoped(tracer), prof_mod.scoped(profiler):
+            with use(context):
+                if spec.parent is not None:
                     payload = self._run_eco_job(job_id, spec)
-                payload["trace_id"] = trace_id
-                return payload
-            with trace_mod.scoped(tracer), prof_mod.scoped(profiler):
-                result = execute_job(spec, library, engine)
-            run = engine.results[-1]
-            for record in run.records.values():
-                self.registry.histogram(
-                    f"service.stage.{record.name}",
-                    buckets=STAGE_SECONDS_BUCKETS,
-                ).observe(record.duration)
-                self.registry.counter(
-                    "service.stage_runs",
-                    labels={"stage": record.name, "cache": record.cache},
-                ).inc()
-            payload = result_payload(result, include_verilog=True)
-            payload["stages"] = {
-                "total": len(run.records),
-                "cached": len(run.cached_stages()),
-            }
-            payload["flow_wall_time"] = round(run.wall_time, 6)
+                else:
+                    payload = self._run_flow_job(spec, library, journal)
             payload["trace_id"] = trace_id
             return payload
         finally:
@@ -317,6 +294,32 @@ class ServiceDaemon:
                     "service.trace.spans_dropped"
                 ).inc(tracer.dropped)
             journal.close()
+
+    def _run_flow_job(
+        self, spec: JobSpec, library, journal: RunJournal
+    ) -> Dict[str, Any]:
+        """One full flow on a per-job engine sharing the daemon cache."""
+        engine = FlowEngine(
+            cache=self.cache, journal=journal, jobs=self.flow_jobs
+        )
+        result = execute_job(spec, library, engine)
+        run = engine.results[-1]
+        for record in run.records.values():
+            self.registry.histogram(
+                f"service.stage.{record.name}",
+                buckets=STAGE_SECONDS_BUCKETS,
+            ).observe(record.duration)
+            self.registry.counter(
+                "service.stage_runs",
+                labels={"stage": record.name, "cache": record.cache},
+            ).inc()
+        payload = result_payload(result, include_verilog=True)
+        payload["stages"] = {
+            "total": len(run.records),
+            "cached": len(run.cached_stages()),
+        }
+        payload["flow_wall_time"] = round(run.wall_time, 6)
+        return payload
 
     # -- eco jobs ------------------------------------------------------
     def _run_eco_job(self, job_id: str, spec: JobSpec) -> Dict[str, Any]:
@@ -427,26 +430,24 @@ class ServiceDaemon:
                 "repro.jobs", labels={"state": state.value}
             ).set(counts[state.value])
 
-    # -- per-job tracer/profiler retention -----------------------------
-    def _retain(
-        self, job_id: str, tracer: Tracer, profiler: Optional[Profiler]
-    ) -> None:
+    # -- per-job context retention --------------------------------------
+    def _retain(self, job_id: str, context: Context) -> None:
         with self._lock:
-            self._job_observers[job_id] = (tracer, profiler)
+            self._job_observers[job_id] = context
             while len(self._job_observers) > self._max_traces:
                 self._job_observers.popitem(last=False)
                 self._evicted_traces += 1
 
-    def _retained(
-        self, job_id: str
-    ) -> Tuple[Optional[Tracer], Optional[Profiler]]:
+    def _retained(self, job_id: str) -> Optional[Context]:
         with self._lock:
-            return self._job_observers.get(job_id, (None, None))
+            return self._job_observers.get(job_id)
 
     def trace_retention(self) -> Dict[str, int]:
         """Occupancy of the per-job LRU: jobs, spans and evictions."""
         with self._lock:
-            tracers = [tracer for tracer, _ in self._job_observers.values()]
+            tracers = [
+                context.tracer for context in self._job_observers.values()
+            ]
             evicted = self._evicted_traces
         return {
             "jobs": len(tracers),
@@ -477,10 +478,12 @@ class ServiceDaemon:
         }
         # bounded-retention honesty: how many spans the job's ring
         # buffer clipped, and whether a profile is retained to fetch
-        tracer, profiler = self._retained(job_id)
-        if tracer is not None and tracer.dropped:
-            status["trace_dropped"] = tracer.dropped
-        status["profiled"] = profiler is not None
+        context = self._retained(job_id)
+        if context is not None and context.tracer.dropped:
+            status["trace_dropped"] = context.tracer.dropped
+        status["profiled"] = (
+            context is not None and context.profiler.enabled
+        )
         if job.state is JobState.DONE and isinstance(job.result, dict):
             status["stages"] = job.result.get("stages")
         return status
@@ -536,13 +539,13 @@ class ServiceDaemon:
         job = self.queue.get(job_id)
         if job is None:
             raise KeyError(job_id)
-        tracer, _ = self._retained(job_id)
-        if tracer is None:
+        context = self._retained(job_id)
+        if context is None:
             raise LookupError(
                 f"no trace retained for job {job_id} "
                 "(job not started, or trace evicted)"
             )
-        document = trace_document(tracer)
+        document = trace_document(context.tracer)
         document["otherData"].update(
             job=job_id,
             state=job.state.value,
@@ -560,13 +563,13 @@ class ServiceDaemon:
         job = self.queue.get(job_id)
         if job is None:
             raise KeyError(job_id)
-        _, profiler = self._retained(job_id)
-        if profiler is None:
+        context = self._retained(job_id)
+        if context is None or not context.profiler.enabled:
             raise LookupError(
                 f"no profile retained for job {job_id} (submit with "
                 "profile=true, or the profile was evicted)"
             )
-        document = profile_document(profiler, name=f"job {job_id}")
+        document = profile_document(context.profiler, name=f"job {job_id}")
         document.update(
             job=job_id,
             state=job.state.value,
@@ -586,7 +589,7 @@ class ServiceDaemon:
         return self.queue.drain(timeout)
 
     def close(self, timeout: Optional[float] = None) -> bool:
-        """Drain, stop workers, close journals, restore the registry."""
+        """Drain, stop workers and close the daemon journal."""
         with self._lock:
             if self._closed:
                 return True
@@ -594,9 +597,6 @@ class ServiceDaemon:
         drained = self.queue.shutdown(timeout)
         self.journal.record("daemon_stop", drained=drained)
         self.journal.close()
-        if self._previous_registry is not None:
-            metrics_mod.set_registry(self._previous_registry)
-            self._previous_registry = None
         return drained
 
     def __enter__(self) -> "ServiceDaemon":

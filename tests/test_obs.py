@@ -17,25 +17,21 @@ from repro.liberty import core9_hs
 from repro.netlist import Netlist, save_verilog
 from repro.obs import (
     NULL_SPAN,
+    Context,
     Histogram,
     MetricsRegistry,
     Tracer,
     aggregate_spans,
     chrome_trace_events,
+    current,
     metrics,
     phase_times,
     summary_report,
     trace,
+    use,
     write_chrome_trace,
     write_metrics,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_globals():
-    yield
-    trace.reset_tracer()
-    metrics.reset_registry()
 
 
 @pytest.fixture(scope="module")
@@ -71,17 +67,17 @@ def test_disabled_tracer_is_noop():
 
 
 def test_module_level_span_uses_active_tracer():
-    # default process-wide tracer is disabled
+    # a thread that entered no context traces nothing
     assert not trace.enabled()
     assert trace.span("ignored") is NULL_SPAN
 
-    tracer = trace.set_tracer(Tracer())
-    with trace.span("a"):
-        with trace.span("b"):
-            pass
+    tracer = Tracer()
+    with use(Context(tracer=tracer)):
+        with trace.span("a"):
+            with trace.span("b"):
+                pass
     assert [s.name for s in tracer.finished()] == ["b", "a"]
-    trace.reset_tracer()
-    assert trace.span("after-reset") is NULL_SPAN
+    assert trace.span("after-exit") is NULL_SPAN
     assert len(tracer) == 2  # old tracer untouched
 
 
@@ -99,10 +95,12 @@ def test_span_records_exceptions_and_unwinds():
 
 
 def test_spans_across_threads_are_thread_local():
-    tracer = trace.set_tracer(Tracer())
+    tracer = Tracer()
+    context = Context(tracer=tracer)
 
     def work(i):
-        with trace.span(f"job{i}"):
+        # a context is per thread: each worker enters the run's own
+        with use(context), trace.span(f"job{i}"):
             with trace.span("inner"):
                 return threading.get_ident()
 
@@ -176,12 +174,12 @@ def test_disabled_registry_returns_null_instruments():
     metrics.counter("nope").inc()
     metrics.gauge("nope").set(1)
     metrics.histogram("nope").observe(1)
-    assert len(metrics.get_registry()) == 0
+    assert len(current().registry) == 0
 
-    registry = metrics.set_registry(MetricsRegistry())
-    metrics.counter("yes").inc()
+    registry = MetricsRegistry()
+    with use(Context(registry=registry)):
+        metrics.counter("yes").inc()
     assert registry.snapshot()["counters"]["yes"] == 1
-    metrics.reset_registry()
     metrics.counter("nope").inc()
     assert len(registry) == 1  # old registry untouched
 
@@ -298,10 +296,10 @@ def _two_stage_graph():
 
 
 def test_engine_stages_become_spans():
-    tracer = trace.set_tracer(Tracer())
-    registry = metrics.set_registry(MetricsRegistry())
+    tracer, registry = Tracer(), MetricsRegistry()
     engine = FlowEngine()
-    result = engine.run(_two_stage_graph(), initial={"x": 3}, label="obs")
+    with use(Context(tracer=tracer, registry=registry)):
+        result = engine.run(_two_stage_graph(), initial={"x": 3}, label="obs")
     assert result.artifacts["z"] == 36
     names = [s.name for s in tracer.finished()]
     assert "stage:double" in names and "stage:square" in names
@@ -314,16 +312,21 @@ def test_engine_stages_become_spans():
 
 
 def test_engine_parallel_run_traces_worker_threads(lib):
-    tracer = trace.set_tracer(Tracer())
+    tracer, registry = Tracer(), MetricsRegistry()
     from repro.desync.tool import Drdesync
 
     engine = FlowEngine(jobs=2)
     tool = Drdesync(lib, engine=engine)
-    tool.run(figure22_circuit(lib))
+    with use(Context(tracer=tracer, registry=registry)):
+        tool.run(figure22_circuit(lib))
     stage_spans = [
         s for s in tracer.finished() if s.name.startswith("stage:")
     ]
     assert len(stage_spans) >= 5
+    # stage bodies ran on pool threads and still counted into the run
+    main = threading.get_ident()
+    assert all(s.thread_id != main for s in stage_spans)
+    assert registry.snapshot()["counters"]["desync.ffsub.replaced"] > 0
     # in-stage instrumentation nests under its engine stage
     grouping = next(s for s in tracer.finished() if s.name == "grouping")
     assert grouping.parent is not None
@@ -334,21 +337,24 @@ def test_engine_parallel_run_traces_worker_threads(lib):
 def test_engine_cache_metrics(tmp_path):
     from repro.engine.cache import ArtifactCache
 
-    registry = metrics.set_registry(MetricsRegistry())
+    registry = MetricsRegistry()
     cache = ArtifactCache(str(tmp_path / "cache"))
     engine = FlowEngine(cache=cache)
-    engine.run(_two_stage_graph(), initial={"x": 3}, label="cold")
-    engine.run(_two_stage_graph(), initial={"x": 3}, label="warm")
+    with use(Context(registry=registry)):
+        engine.run(_two_stage_graph(), initial={"x": 3}, label="cold")
+        engine.run(_two_stage_graph(), initial={"x": 3}, label="warm")
     counters = registry.snapshot()["counters"]
     assert counters["engine.cache.misses"] == 2
     assert counters["engine.cache.hits"] == 2
 
 
 def test_engine_stats_include_trace_and_metrics():
-    tracer = trace.set_tracer(Tracer())
-    registry = metrics.set_registry(MetricsRegistry())
+    tracer, registry = Tracer(), MetricsRegistry()
     engine = FlowEngine()
-    result = engine.run(_two_stage_graph(), initial={"x": 2}, label="stats")
+    with use(Context(tracer=tracer, registry=registry)):
+        result = engine.run(
+            _two_stage_graph(), initial={"x": 2}, label="stats"
+        )
     stats = engine_stats([result], tracer=tracer, registry=registry)
     assert "run:stats" in stats["trace"]
     assert stats["trace"]["run:stats/stage:double"]["count"] == 1
@@ -417,7 +423,7 @@ def test_cli_trace_and_metrics_end_to_end(lib, tmp_path):
         ]
     )
     assert code == 0
-    # the CLI restored the disabled defaults
+    # the CLI's context ended with its run
     assert not trace.enabled() and not metrics.enabled()
 
     document = json.loads(trace_file.read_text())

@@ -24,7 +24,7 @@ from repro.engine.graph import Stage
 from repro.liberty import GateChooser, core9_hs
 from repro.netlist import Module, Netlist, PortDirection, save_verilog
 from repro.obs import bench as obs_bench
-from repro.obs import prof, trace
+from repro.obs import Context, current, prof, trace, use
 from repro.obs.export import (
     SPEEDSCOPE_SCHEMA,
     collapsed_stacks,
@@ -73,7 +73,7 @@ def test_disabled_profiler_is_noop():
 
 def test_default_module_profiler_is_disabled():
     assert prof.enabled() is False
-    with prof.stage("anything") as record:
+    with current().profiler.stage("anything") as record:
         assert record is None
 
 
@@ -161,15 +161,14 @@ def test_scoped_activation_is_thread_local():
     def worker():
         seen["enabled"] = prof.enabled()
 
-    with prof.scoped(profiler):
+    with use(Context(profiler=profiler)):
         assert prof.enabled() is True
-        assert prof.get_profiler() is profiler
+        assert current().profiler is profiler
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
     assert seen["enabled"] is False, "scope leaked across threads"
     assert prof.enabled() is False
-    assert prof.scoped(None).__enter__() is None  # None scope is a no-op
 
 
 def test_overhead_estimate_accounts_machinery():
@@ -214,7 +213,7 @@ def _two_stage_graph():
 
 def test_engine_profiles_each_stage_under_scope():
     profiler = Profiler(enabled=True)
-    with prof.scoped(profiler):
+    with use(Context(profiler=profiler)):
         result = FlowEngine().run(_two_stage_graph())
     assert result.artifacts["final"] == _busy(2000) + 1
     names = {p.name for p in profiler.profiles()}
@@ -226,9 +225,9 @@ def test_engine_profiles_each_stage_under_scope():
 
 
 def test_engine_without_scope_profiles_nothing():
-    before = len(prof.get_profiler())
+    before = len(current().profiler)
     FlowEngine().run(_two_stage_graph())
-    assert len(prof.get_profiler()) == before
+    assert len(current().profiler) == before
 
 
 def test_parallel_executor_attributes_stages_to_the_scoped_profiler():
@@ -243,7 +242,7 @@ def test_parallel_executor_attributes_stages_to_the_scoped_profiler():
             )
         )
     profiler = Profiler(enabled=True, memory=False)
-    with prof.scoped(profiler):
+    with use(Context(profiler=profiler)):
         FlowEngine(jobs=3).run(graph)
     assert {p.name for p in profiler.profiles()} == {
         "branch0", "branch1", "branch2", "branch3"
@@ -349,7 +348,7 @@ def test_simulator_reports_counters_into_active_stage():
     build_cmuller(module, ["a", "b"], "z", GateChooser(library))
 
     profiler = Profiler(enabled=True, memory=False)
-    with prof.scoped(profiler), profiler.stage("simulate"):
+    with use(Context(profiler=profiler)), profiler.stage("simulate"):
         sim = Simulator(module, library)
         for vector in ((0, 0), (1, 1), (0, 0)):
             sim.set_input("a", vector[0])

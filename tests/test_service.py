@@ -30,6 +30,7 @@ from repro.engine import (
     parallel_map,
     read_journal,
 )
+from repro.obs import MetricsRegistry
 from repro.service import (
     JobError,
     JobQueue,
@@ -320,6 +321,55 @@ def test_daemon_metrics_snapshot(daemon):
         if name.startswith("service.stage.")
     ]
     assert "service.stage.network" in stage_histograms
+
+
+def _flow_counters(daemon):
+    """The engine's run and cache counters in a daemon's registry."""
+    counters = daemon.registry.snapshot()["counters"]
+    return {
+        name: value
+        for name, value in counters.items()
+        if name == "engine.runs" or name.startswith("engine.cache.")
+    }
+
+
+def _run_to_done(daemon, **submit):
+    job, _ = daemon.submit(small_spec(), **submit)
+    assert daemon.queue.wait(job.id, timeout=120.0).state is JobState.DONE
+    return daemon.job_result(job.id)["stages"]
+
+
+def test_overlapping_daemons_count_only_their_own_jobs(tmp_path):
+    registry = MetricsRegistry()
+    first = ServiceDaemon(run_dir=str(tmp_path / "a"), workers=1)
+    second = ServiceDaemon(
+        run_dir=str(tmp_path / "b"), workers=1, registry=registry
+    )
+    try:
+        # a caller's registry is used even while it is still empty
+        assert second.registry is registry
+        # both open: each daemon's registry holds its own cold run only
+        stages = _run_to_done(first)
+        cold = {"engine.runs": 1, "engine.cache.misses": stages["total"]}
+        assert _flow_counters(first) == cold
+        assert _flow_counters(second) == {}
+        assert _run_to_done(second) == stages
+        assert _flow_counters(second) == cold
+        assert _flow_counters(first) == cold
+
+        # closing one daemon leaves the other one counting
+        first.close(timeout=30.0)
+        warm = _run_to_done(second, reuse=False)
+        assert warm["cached"] == warm["total"]
+        assert _flow_counters(second) == {
+            "engine.runs": 2,
+            "engine.cache.misses": stages["total"],
+            "engine.cache.hits": warm["total"],
+        }
+        assert _flow_counters(first) == cold
+    finally:
+        first.close(timeout=30.0)
+        second.close(timeout=30.0)
 
 
 # ---------------------------------------------------------------------------

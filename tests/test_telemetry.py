@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.engine import RunJournal, read_journal
-from repro.obs import trace
+from repro.obs import Context, current, trace, use
 from repro.obs.export import prometheus_text, trace_document
 from repro.obs.metrics import MetricsRegistry, render_name, split_name
 from repro.service import (
@@ -77,6 +77,9 @@ def test_trace_document_carries_trace_id_and_drop_count():
     for event in document["traceEvents"]:
         if event["ph"] == "X":
             assert event["args"]["trace_id"] == "abc123"
+    # a tracer with no spans yet still exports itself, not a default
+    empty = trace_document(trace.Tracer(trace_id="fresh"))
+    assert empty["otherData"]["trace_id"] == "fresh"
 
 
 def test_scoped_tracer_overrides_global_for_current_thread_only():
@@ -84,7 +87,7 @@ def test_scoped_tracer_overrides_global_for_current_thread_only():
 
     def worker(name):
         tracer = trace.Tracer(trace_id=name)
-        with trace.scoped(tracer):
+        with use(Context(tracer=tracer)):
             with trace.span("inner"):
                 time.sleep(0.01)
         seen[name] = [span.name for span in tracer.finished()]
@@ -98,21 +101,20 @@ def test_scoped_tracer_overrides_global_for_current_thread_only():
         thread.join()
     # each thread's spans landed in its own tracer, exactly once
     assert all(names == ["inner"] for names in seen.values())
-    # the global tracer (disabled default) saw nothing
+    # this thread entered no context: its default tracer is disabled
     assert trace.span("outside") is trace.NULL_SPAN
 
 
-def test_scoped_none_is_a_noop_and_scopes_nest():
-    outer = trace.Tracer(trace_id="outer")
-    inner = trace.Tracer(trace_id="inner")
-    with trace.scoped(None):
-        assert trace.get_tracer().trace_id is None
-    with trace.scoped(outer):
-        assert trace.get_tracer() is outer
-        with trace.scoped(inner):
-            assert trace.get_tracer() is inner
-        assert trace.get_tracer() is outer
-    assert trace.get_tracer().trace_id is None
+def test_contexts_nest_and_restore():
+    outer = Context(tracer=trace.Tracer(trace_id="outer"))
+    inner = Context(tracer=trace.Tracer(trace_id="inner"))
+    assert current().trace_id is None
+    with use(outer):
+        assert current() is outer
+        with use(inner):
+            assert current().trace_id == "inner"
+        assert current() is outer
+    assert current().trace_id is None
 
 
 # ---------------------------------------------------------------------------
