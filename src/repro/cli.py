@@ -392,13 +392,13 @@ def _convert(args: argparse.Namespace, tool: Drdesync, options):
     return result, outputs
 
 
-def _run_eco(args: argparse.Namespace, library, options, cache):
+def _run_eco(args: argparse.Namespace, library, options):
     """Run the flow through an incremental session, then apply the
     ``--eco`` edits; returns (result, exported outputs)."""
     from .flow.incremental import IncrementalSession, load_edits
 
     edits = load_edits(args.eco)
-    session = IncrementalSession(library, options, cache=cache)
+    session = IncrementalSession(library, options)
     session.start(_read_input(args))
     outcome = session.apply(edits, verify=args.eco_verify)
     result = outcome.result
@@ -478,7 +478,7 @@ def _run_flow(args: argparse.Namespace) -> int:
     try:
         with use(Context(**observers)) as context:
             if args.eco:
-                result, outputs = _run_eco(args, library, options, cache)
+                result, outputs = _run_eco(args, library, options)
             else:
                 result, outputs = _convert(args, tool, options)
             _write_outputs(args, tool, outputs)

@@ -3,8 +3,8 @@
 The engine models an implementation flow as a DAG of pure-ish stages
 exchanging named artifacts, and executes it with content-addressed
 caching, optional thread-pool parallelism, a structured JSONL run
-journal and per-stage robustness (timeout, retry, graceful
-degradation).  ``Drdesync``, the ``repro.flow`` implementation flows,
+journal and graceful degradation (a failed stage skips only its
+dependents).  ``Drdesync``, the ``repro.flow`` implementation flows,
 the CLI and the benchmark harness all run on it.
 
 Typical use::

@@ -474,27 +474,6 @@ class ArtifactCache:
         self.stats.stores += 1
         return True
 
-    # -- patch provenance (incremental re-flow) ------------------------
-    def record_patch(self, key: str, provenance: Dict[str, Any]) -> bool:
-        """Store where an incrementally-derived result came from.
-
-        ``key`` identifies the patched (child) result;  ``provenance``
-        names the parent key, the edits applied and the reuse decisions
-        the incremental flow made -- enough for a later session to
-        answer "which cached run is this result a patch of, and what
-        was recomputed".  Stored as a regular cache entry in a
-        ``patch:`` namespace so eviction, locking and atomicity are
-        shared with artifact storage.
-        """
-        return self.put(stable_hash(("patch", key)), {"patch": provenance})
-
-    def get_patch(self, key: str) -> Optional[Dict[str, Any]]:
-        """The provenance stored by :meth:`record_patch` (None on miss)."""
-        entry = self.get(stable_hash(("patch", key)))
-        if entry is None:
-            return None
-        return entry.get("patch")
-
     def _entries(self) -> List[Tuple[float, str, List[str], int]]:
         """Cache entries as ``(manifest mtime, key, files, bytes)``.
 

@@ -13,11 +13,11 @@ The :class:`FlowEngine` schedules a :class:`~repro.engine.graph.FlowGraph`:
   ``concurrent.futures`` thread pool; ``jobs == 1`` is the
   deterministic serial fallback executing stages in topological
   insertion order on the calling thread;
-- **robustness** -- per-stage timeout and retry policy, and graceful
-  degradation: a failed stage is recorded (journal + result) and its
-  dependents are skipped, but every artifact produced by the healthy
-  part of the graph is still returned.  A cache entry whose sidecar no
-  longer loads is evicted and the graph runs once more.
+- **robustness** -- graceful degradation: a failed stage is recorded
+  (journal + result) and its dependents are skipped, but every
+  artifact produced by the healthy part of the graph is still
+  returned.  A cache entry whose sidecar no longer loads is evicted
+  and the graph runs once more.
 
 An initial artifact may be a :class:`~repro.engine.cache.DeferredArtifact`:
 its own fingerprint keys the run, and it is computed only if a stage
@@ -89,7 +89,6 @@ class StageStatus(Enum):
     OK = "ok"
     CACHED = "cached"
     FAILED = "failed"
-    TIMEOUT = "timeout"
     SKIPPED = "skipped"
 
 
@@ -133,9 +132,7 @@ class FlowResult:
 
     def failed_stages(self) -> List[StageRecord]:
         return [
-            r
-            for r in self.records.values()
-            if r.status in (StageStatus.FAILED, StageStatus.TIMEOUT)
+            r for r in self.records.values() if r.status is StageStatus.FAILED
         ]
 
     def cached_stages(self) -> List[str]:
@@ -189,12 +186,7 @@ def _module_metrics(outputs: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class SerialExecutor:
-    """Deterministic in-thread execution in topological order.
-
-    Timeouts cannot interrupt a running stage without threads; the
-    serial executor enforces them *post hoc* -- a stage that overran
-    its budget is recorded as timed out and its result discarded.
-    """
+    """Deterministic in-thread execution in topological order."""
 
     jobs = 1
 
@@ -210,7 +202,7 @@ class ThreadExecutor:
         self.jobs = max(2, int(jobs))
 
     def run(self, engine: "FlowEngine", state: "_RunState") -> None:
-        pending: Dict[concurrent.futures.Future, Tuple[Stage, float, Optional[float]]] = {}
+        pending: Dict[concurrent.futures.Future, Tuple[Stage, float]] = {}
         with concurrent.futures.ThreadPoolExecutor(
             max_workers=self.jobs
         ) as pool:
@@ -224,38 +216,20 @@ class ThreadExecutor:
                         disposition = state.begin_stage(stage)
                         if disposition == "run":
                             start = time.perf_counter()
-                            deadline = (
-                                start + stage.timeout
-                                if stage.timeout is not None
-                                else None
-                            )
                             future = pool.submit(
                                 state.attempt_stage, stage
                             )
-                            pending[future] = (stage, start, deadline)
+                            pending[future] = (stage, start)
                         launched = True
                 if not pending:
                     break
-                timeout = None
-                now = time.perf_counter()
-                deadlines = [d for (_s, _t, d) in pending.values() if d]
-                if deadlines:
-                    timeout = max(0.0, min(deadlines) - now)
                 done, _ = concurrent.futures.wait(
-                    pending,
-                    timeout=timeout,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
+                    pending, return_when=concurrent.futures.FIRST_COMPLETED
                 )
                 now = time.perf_counter()
                 for future in done:
-                    stage, start, _deadline = pending.pop(future)
+                    stage, start = pending.pop(future)
                     state.finish_stage(stage, future, now - start)
-                for future, (stage, start, deadline) in list(pending.items()):
-                    if deadline is not None and now >= deadline:
-                        # the worker thread cannot be killed; abandon it
-                        pending.pop(future)
-                        future.cancel()
-                        state.record_timeout(stage, now - start)
 
 
 class _RunState:
@@ -371,49 +345,36 @@ class _RunState:
             for artifact in stage.outputs:
                 self.fingerprints[artifact] = f"{fingerprint_base}#{artifact}"
 
-    def attempt_stage(
-        self, stage: Stage
-    ) -> Tuple[Dict[str, Any], int, float]:
-        """Run the stage with its retry policy on the calling thread;
-        returns (outputs, tries, thread CPU seconds)."""
-        attempts = 0
-        retries = max(stage.retries, self.engine.default_retries)
+    def attempt_stage(self, stage: Stage) -> Tuple[Dict[str, Any], float]:
+        """Run the stage once on the calling thread; returns (outputs,
+        thread CPU seconds)."""
         profiler = self.context.profiler
         cpu_start = time.thread_time()
         with use(self.context):
-            while True:
-                attempts += 1
-                try:
-                    with self.lock:
-                        inputs = {k: self.artifacts[k] for k in stage.inputs}
-                    # the stage span roots the trace subtree for everything
-                    # the stage function does: in-stage instrumentation
-                    # (grouping, DDG, STA, ...) nests under it, so engine
-                    # timings and fine-grained spans share one trace tree
-                    with trace.span(
-                        "stage:" + stage.name,
-                        stage=stage.name,
-                        graph=self.graph.name,
-                        attempt=attempts,
-                    ):
-                        if profiler.enabled:
-                            with profiler.stage(
-                                stage.name,
-                                self.graph.name,
-                                attempt=attempts,
-                            ):
-                                outputs = stage.call(inputs)
-                        else:
+            try:
+                with self.lock:
+                    inputs = {k: self.artifacts[k] for k in stage.inputs}
+                # the stage span roots the trace subtree for everything
+                # the stage function does: in-stage instrumentation
+                # (grouping, DDG, STA, ...) nests under it, so engine
+                # timings and fine-grained spans share one trace tree
+                with trace.span(
+                    "stage:" + stage.name,
+                    stage=stage.name,
+                    graph=self.graph.name,
+                ):
+                    if profiler.enabled:
+                        with profiler.stage(stage.name, self.graph.name):
                             outputs = stage.call(inputs)
-                    return outputs, attempts, time.thread_time() - cpu_start
-                except Exception as exc:
-                    metrics.counter("engine.stage.errors").inc()
-                    if attempts > retries:
-                        exc.__engine_attempts__ = attempts  # type: ignore[attr-defined]
-                        exc.__engine_cpu__ = (  # type: ignore[attr-defined]
-                            time.thread_time() - cpu_start
-                        )
-                        raise
+                    else:
+                        outputs = stage.call(inputs)
+            except Exception as exc:
+                metrics.counter("engine.stage.errors").inc()
+                exc.__engine_cpu__ = (  # type: ignore[attr-defined]
+                    time.thread_time() - cpu_start
+                )
+                raise
+        return outputs, time.thread_time() - cpu_start
 
     def process_stage_inline(self, stage: Stage) -> None:
         """Serial path: begin, run on the calling thread, settle."""
@@ -421,15 +382,11 @@ class _RunState:
             return
         start = time.perf_counter()
         try:
-            outputs, attempts, cpu = self.attempt_stage(stage)
+            outputs, cpu = self.attempt_stage(stage)
         except Exception as exc:
             self._record_failure(stage, exc, time.perf_counter() - start)
             return
-        duration = time.perf_counter() - start
-        if stage.timeout is not None and duration > stage.timeout:
-            self.record_timeout(stage, duration)
-            return
-        self._record_success(stage, outputs, attempts, duration, cpu)
+        self._record_success(stage, outputs, time.perf_counter() - start, cpu)
 
     def finish_stage(
         self,
@@ -442,15 +399,14 @@ class _RunState:
         if exc is not None:
             self._record_failure(stage, exc, duration)
             return
-        outputs, attempts, cpu = future.result()
-        self._record_success(stage, outputs, attempts, duration, cpu)
+        outputs, cpu = future.result()
+        self._record_success(stage, outputs, duration, cpu)
 
     # -- terminal states -----------------------------------------------
     def _record_success(
         self,
         stage: Stage,
         outputs: Dict[str, Any],
-        attempts: int,
         duration: float,
         cpu: float,
     ) -> None:
@@ -465,7 +421,7 @@ class _RunState:
             StageStatus.OK,
             duration=duration,
             cpu=cpu,
-            attempts=attempts,
+            attempts=1,
             key=key,
             cache="miss" if use_cache else "off",
             metrics=_module_metrics(outputs),
@@ -475,31 +431,16 @@ class _RunState:
     def _record_failure(
         self, stage: Stage, exc: BaseException, duration: float
     ) -> None:
-        attempts = getattr(exc, "__engine_attempts__", 1)
         record = StageRecord(
             stage.name,
             StageStatus.FAILED,
             duration=duration,
             cpu=getattr(exc, "__engine_cpu__", 0.0),
-            attempts=attempts,
+            attempts=1,
             key=self._pending_key.get(stage.name),
             cache="off" if self.engine.cache is None else "miss",
             error=exc,
             error_text=f"{type(exc).__name__}: {exc}",
-        )
-        self._settle(stage, record, outputs=None)
-
-    def record_timeout(self, stage: Stage, duration: float) -> None:
-        record = StageRecord(
-            stage.name,
-            StageStatus.TIMEOUT,
-            duration=duration,
-            attempts=1,
-            key=self._pending_key.get(stage.name),
-            error_text=(
-                f"stage exceeded its {stage.timeout:.3f}s timeout "
-                f"after {duration:.3f}s"
-            ),
         )
         self._settle(stage, record, outputs=None)
 
@@ -561,12 +502,10 @@ class FlowEngine:
         cache: Optional[ArtifactCache] = None,
         journal: Optional[RunJournal] = None,
         jobs: int = 1,
-        default_retries: int = 0,
     ):
         self.cache = cache
         self.journal = journal
         self.jobs = max(1, int(jobs))
-        self.default_retries = max(0, int(default_retries))
         self.results: List[FlowResult] = []
 
     def _executor(self):

@@ -39,8 +39,6 @@ class Stage:
     params: Dict[str, Any] = field(default_factory=dict)
     after: Tuple[str, ...] = ()
     cacheable: bool = True
-    timeout: Optional[float] = None
-    retries: int = 0
     version: str = "1"
 
     def call(self, artifacts: Dict[str, Any]) -> Dict[str, Any]:

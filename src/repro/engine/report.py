@@ -47,7 +47,7 @@ def render_report(result: FlowResult) -> str:
         )
     counts = result.summary()
     cached = counts.get("cached", 0)
-    failed = counts.get("failed", 0) + counts.get("timeout", 0)
+    failed = counts.get("failed", 0)
     lines.append(
         f"-- {cached} cached, {failed} failed, "
         f"{counts.get('skipped', 0)} skipped --"
@@ -84,7 +84,7 @@ def engine_stats(
             entry["total_s"] += record.duration
             if record.status is StageStatus.CACHED:
                 entry["cached"] += 1
-            elif record.status in (StageStatus.FAILED, StageStatus.TIMEOUT):
+            elif record.status is StageStatus.FAILED:
                 entry["failed"] += 1
     for entry in stages.values():
         executed = entry["runs"] - entry["cached"]

@@ -6,27 +6,30 @@ the data-dependency graph, the characterised delay ladder, the inserted
 controller network and the compiled timing graphs are all still valid
 after a small netlist edit -- a cell swap inside a drive-strength
 family, a wire re-annotation from a new parasitic extraction, a tied
-constant, a spare-cell hookup.  :class:`IncrementalSession` keeps the
-stage-boundary snapshots a finished flow produced and, per edit,
-re-derives only what the edit invalidates:
+constant, a spare-cell hookup.  :class:`IncrementalSession` keeps two
+timed snapshots of a finished flow -- after import and after flip-flop
+substitution -- and, per edit, re-derives only what the edit
+invalidates:
 
 ========  ==========================================================
 stage     incremental strategy
 ========  ==========================================================
-import    hygiene reused; clock period re-derived through the warm
-          compiled STA of the imported snapshot (dirty-cone retime)
+import    hygiene reused; clock period re-timed on the import
+          snapshot, whose compiled STA the import stage built
+          (dirty-cone retime)
 group     :func:`repro.desync.regions.regroup_incremental` revalidates
           the grouping relations incident to the dirty cells and
           splices the cached partition
 ffsub     structurally reused (fast edits never touch sequentials)
 ddg       :func:`repro.desync.ddg.patch_ddg` confirms the cached graph
           against the re-derived dirty-net edge contributions
-delays    ladder reused; per-region targets re-selected through the
-          warm compiled STA and
+delays    ladder reused; per-region targets re-measured on the ffsub
+          snapshot's warm compiled STA and re-selected through
           :func:`repro.desync.delays.element_length_for`
-network   spliced when every element length survives; otherwise
-          re-inserted into a clone of the pre-network snapshot with
-          ``precomputed_delays`` (no second STA pass)
+network   spliced when every element length survives; otherwise the
+          network tail re-inserts it into a clone of the ffsub
+          snapshot over those delays (``precomputed_delays``, no
+          second STA pass)
 sdc       regenerated (cheap, pure function of the above)
 sim       affected-region-only handshake re-simulation, scoped via
           the probe's region boundaries (``verify="affected"``)
@@ -37,9 +40,10 @@ bit-identical parity oracle: :meth:`IncrementalSession.oracle` replays
 the same edits on a pristine clone of the input through
 :func:`repro.desync.tool.desynchronize`, and the test suite asserts the
 two produce byte-equal Verilog, SDC, element lengths and handshake
-reports.  Edits whose guards fail fall back to re-running the stage
-functions from the earliest affected snapshot -- same functions, same
-name-counter state, hence the same bits as a cold run.
+reports.  Edits whose guards fail fall back to the deep path: the
+engine's own group, ffsub and ddg stage functions re-run on a clone of
+the import snapshot -- same functions, same name-counter state, hence
+the same bits as a cold run.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from ..desync.constraints import generate_constraints
 from ..desync.ddg import patch_ddg
 from ..desync.delays import element_length_for
 from ..desync.network import (
-    ControlNetwork,
     diff_networks,
     insert_control_network,
     region_delays,
@@ -275,12 +278,18 @@ class IncrementalSession:
         outcome.result.export_verilog()          # bit-identical to a
                                                  # from-scratch re-flow
 
-    The session owns the stage-boundary snapshots (post-import,
-    post-group, post-ffsub) plus the live result; every ``apply``
-    updates all of them, so edits chain.  ``session.oracle(edits)``
-    re-runs the untouched pipeline on the original input with the same
-    edits -- the ``mode="full"`` parity reference the tests and
-    benchmarks assert against.
+    The session keeps two timed snapshots: the *import snapshot* (the
+    netlist after design import, whose compiled STA ``min_clock_period``
+    built) and the *ffsub snapshot* (after flip-flop substitution and
+    the DDG, timed once by ``region_delays``), plus a pristine copy of
+    the input for the oracle and the live result.  ``start``, the deep
+    path and the network path end in one network tail: the controller
+    network goes into a clone of the ffsub snapshot over the delays
+    just measured, then the SDC.  Every ``apply`` updates the
+    snapshots, so edits chain.
+    ``session.oracle(edits)`` re-runs the untouched pipeline on the
+    original input with the same edits -- the ``mode="full"`` parity
+    reference the tests and benchmarks assert against.
     """
 
     def __init__(
@@ -288,7 +297,6 @@ class IncrementalSession:
         library: Library,
         options: Optional[DesyncOptions] = None,
         max_delay_levels: int = 240,
-        cache=None,
     ):
         self.library = library
         self.options = options or DesyncOptions()
@@ -297,92 +305,103 @@ class IncrementalSession:
             corner=self.options.corner,
             max_delay_levels=max_delay_levels,
         )
-        self.cache = cache
         self.result: Optional[DesyncResult] = None
-        self.parent_key: Optional[str] = None
         self._edits_applied: List[NetlistEdit] = []
-        self._snap_imported: Optional[Module] = None
-        self._snap_grouped: Optional[Module] = None
-        self._snap_ffsub: Optional[Module] = None
         self._input: Optional[Module] = None
+        self._snap_imported: Optional[Module] = None
+        self._snap_ffsub: Optional[Module] = None
         self._artifacts: Dict[str, Any] = {}
         self._stages: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # cold start
     # ------------------------------------------------------------------
-    def start(self, module: Module, key: Optional[str] = None) -> DesyncResult:
-        """Run the full flow once and capture the reuse substrate."""
-        from ..engine.cache import stable_hash
+    def start(self, module: Module) -> DesyncResult:
+        """Run the full flow once and capture the reuse substrate.
 
+        ``module`` becomes the session's import snapshot: the import
+        stage rewrites it in place and later edits land on it, so pass
+        a clone if the synchronous netlist is still needed.  The
+        returned ``result.module`` is the session's own final netlist.
+        """
         self._input = module.clone()
         self._stages = {
             stage.name: stage for stage in self.tool.build_stages(self.options)
         }
-        artifacts: Dict[str, Any] = {"module.input": module}
         with trace.span("flow.incremental.start", design=module.name):
-            self._run_stages(
-                artifacts,
-                ("import", "group", "ffsub", "ddg", "delays", "network",
-                 "constraints"),
-            )
-        self._artifacts = artifacts
-        self.result = self.tool.assemble_result(module, artifacts)
-        self.parent_key = key or stable_hash(
-            {"design": self._input, "options": repr(self.options)}
-        )
-        self._prewarm()
+            artifacts = self._stages["import"].call({"module.input": module})
+            artifacts.update(self._stages["delays"].call(artifacts))
+            self._artifacts = artifacts
+            self._snap_imported = module
+            self._reflow(artifacts["clock_period"])
         metrics.counter("flow.incr.sessions").inc()
         return self.result
 
-    def _run_stages(self, artifacts: Dict[str, Any], names) -> None:
-        """Execute stage functions in order, snapshotting boundaries.
+    def _reflow(self, clock_period: float) -> None:
+        """Re-run group -> ffsub -> ddg from the import snapshot.
 
-        The snapshots are taken *between* stages, before the next one
-        mutates the threaded module -- so each clone carries the exact
-        name-counter state a from-scratch run would have at that point,
-        which is what makes fallback re-runs bit-identical.
+        The stage functions run on a clone of the import snapshot, which
+        carries the exact post-import name-counter state, so they
+        produce the names a cold run would.  The clone becomes the
+        ffsub snapshot, timed once; the network tail finishes the flow.
         """
-        for name in names:
-            if name == "delays" and "ladder" in artifacts:
-                continue
+        artifacts = self._artifacts
+        artifacts["module.imported"] = self._snap_imported.clone()
+        for name in ("group", "ffsub", "ddg"):
             artifacts.update(self._stages[name].call(artifacts))
-            if name == "import":
-                self._snap_imported = artifacts["module.imported"].clone()
-            elif name == "group":
-                self._snap_grouped = artifacts["module.grouped"].clone()
-            elif name == "ffsub":
-                self._snap_ffsub = artifacts["module.ffsub"].clone()
-
-    def _prewarm(self) -> None:
-        """Warm the snapshot STA caches and assert parity with the run.
-
-        The snapshots are structural clones of the live module at each
-        boundary, so the compiled STA over them must reproduce the
-        run's clock period and region delays exactly -- asserted here,
-        making the snapshots themselves oracle-checked before any edit
-        relies on them.
-        """
-        options = self.options
-        if options.clock_period is None:
-            warm = min_clock_period(
-                self._snap_imported, self.library, options.corner
-            )
-            if warm != self._artifacts["clock_period"]:
-                raise AssertionError(
-                    "imported snapshot clock period diverged from the "
-                    f"flow: {warm} != {self._artifacts['clock_period']}"
-                )
-        warm_delays = region_delays(
+        self._snap_ffsub = artifacts["module.ffsub"]
+        delays = region_delays(
             self._snap_ffsub,
             self.library,
-            self.result.region_map,
-            corner=options.corner,
+            artifacts["region_map.ffsub"],
+            corner=self.options.corner,
         )
-        if warm_delays != self.result.network.region_delays:
-            raise AssertionError(
-                "ffsub snapshot region delays diverged from the flow"
-            )
+        self._insert_network(delays, clock_period)
+
+    def _insert_network(
+        self, delays: Dict[str, float], clock_period: float
+    ) -> None:
+        """The network tail every path but the splice shares: insert the
+        controller network into a clone of the ffsub snapshot over the
+        region delays just measured (no second STA pass), generate the
+        SDC and assemble the result."""
+        options = self.options
+        artifacts = self._artifacts
+        module = self._snap_ffsub.clone()
+        network = insert_control_network(
+            module,
+            self.library,
+            self.tool.gatefile,
+            artifacts["region_map.ffsub"],
+            artifacts["ddg"],
+            artifacts["ladder"],
+            chooser=self.tool.chooser,
+            delay_margin=options.delay_margin,
+            mux_taps=options.delay_mux_taps,
+            mux_headroom=options.delay_mux_headroom,
+            reset_port=options.reset_port,
+            corner=options.corner,
+            precomputed_delays=delays,
+        )
+        artifacts.update(
+            {
+                "module.network": module,
+                "network": network,
+                "clock_period": clock_period,
+                "sdc": generate_constraints(
+                    module, network, clock_period, options.delay_margin
+                ),
+            }
+        )
+        self.result = self.tool.assemble_result(module, artifacts)
+
+    def _clock_period(self) -> float:
+        """The clock period, re-timed on the import snapshot's graph."""
+        if self.options.clock_period is not None:
+            return self.options.clock_period
+        return min_clock_period(
+            self._snap_imported, self.library, self.options.corner
+        )
 
     # ------------------------------------------------------------------
     # parity oracle
@@ -417,7 +436,9 @@ class IncrementalSession:
         ``verify`` scopes the post-edit re-simulation: ``"none"``
         (default), ``"affected"`` (handshake probe over only the
         regions the edit touched) or ``"full"`` (whole-design
-        observation run).
+        observation run).  The whole batch is checked before any
+        snapshot changes, so a rejected batch leaves the session as it
+        was.
         """
         if self.result is None:
             raise EditError("call start() before apply()")
@@ -426,6 +447,7 @@ class IncrementalSession:
         batch = _as_edits(edits)
         if not batch:
             raise EditError("apply() needs at least one edit")
+        self._check_batch(batch)
         with trace.span(
             "flow.incremental.apply", edits=len(batch), verify=verify
         ):
@@ -434,8 +456,76 @@ class IncrementalSession:
             else:
                 outcome = self._apply_deep(batch)
             self._edits_applied.extend(batch)
-            self._record(outcome, batch, verify)
+            self._record(outcome, verify)
         return outcome
+
+    def _check_batch(self, batch: Sequence[NetlistEdit]) -> None:
+        """Raise :class:`EditError` for the first edit that would fail.
+
+        Walks the batch against the import snapshot, tracking the
+        instances and nets earlier edits add or remove, and checks
+        every name an edit addresses: instances, nets, library cells
+        and the pins an edit binds.
+        """
+        #: instance -> pins it binds after the edits so far (None: gone)
+        pins_of: Dict[str, Optional[Set[str]]] = {}
+        added_nets: Set[str] = set()
+        for index, edit in enumerate(batch):
+            problem = self._edit_problem(edit, pins_of, added_nets)
+            if problem is not None:
+                raise EditError(f"edit {index} ({edit.kind}): {problem}")
+
+    def _edit_problem(
+        self,
+        edit: NetlistEdit,
+        pins_of: Dict[str, Optional[Set[str]]],
+        added_nets: Set[str],
+    ) -> Optional[str]:
+        """Why ``edit`` cannot apply after the batch's earlier edits
+        (recorded in ``pins_of``/``added_nets``, updated here), or
+        None when it can."""
+        imported = self._snap_imported
+        if edit.kind == "annotate_wires":
+            snapshots = (imported, self._snap_ffsub, self.result.module)
+            for net, _value in (*edit.wire_caps, *edit.wire_delays):
+                if net not in added_nets and not any(
+                    net in module.nets for module in snapshots
+                ):
+                    return f"no net {net!r}"
+            return None
+        if edit.kind == "set_constant":
+            if edit.net is None or edit.value is None:
+                return "needs 'net' and 'value'"
+            if edit.net not in imported.nets and edit.net not in added_nets:
+                return f"no net {edit.net!r}"
+            return None
+        if edit.instance is None:
+            return "needs 'instance'"
+        if edit.instance in pins_of:
+            pins = pins_of[edit.instance]
+        else:
+            inst = imported.instances.get(edit.instance)
+            pins = None if inst is None else set(inst.pins)
+        if edit.kind == "add_instance":
+            if pins is not None:
+                return f"instance {edit.instance!r} already exists"
+            pins = {pin for pin, _net in edit.pins}
+            added_nets.update(net for _pin, net in edit.pins)
+        elif pins is None:
+            return f"no instance {edit.instance!r}"
+        if edit.kind == "remove_instance":
+            pins_of[edit.instance] = None
+            return None
+        if edit.cell is None:
+            return "needs 'cell'"
+        info = self.tool.gatefile.cells.get(edit.cell)
+        if info is None or edit.cell not in self.library.cells:
+            return f"no cell {edit.cell!r} in the library"
+        missing = sorted(pins - set(info.pins))
+        if missing:
+            return f"cell {edit.cell!r} has no pin {missing[0]!r}"
+        pins_of[edit.instance] = pins
+        return None
 
     # -- fast-path guards ----------------------------------------------
     def _fast_eligible(self, edit: NetlistEdit) -> bool:
@@ -451,12 +541,7 @@ class IncrementalSession:
         combinational on both sides, untouched by logic cleaning, and
         present (with the same binding) in every snapshot."""
         gatefile = self.tool.gatefile
-        modules = (
-            self._snap_imported,
-            self._snap_grouped,
-            self._snap_ffsub,
-            self.result.module,
-        )
+        modules = (self._snap_imported, self._snap_ffsub, self.result.module)
         if edit.instance is None or edit.cell is None:
             return False
         first = self._snap_imported.instances.get(edit.instance)
@@ -501,11 +586,11 @@ class IncrementalSession:
         for one.  Design nets only influence the clock period and the
         region delays, both re-derived warm on the fast path."""
         final = self.result.module
-        grouped = self._snap_grouped
+        imported = self._snap_imported
         ffsub = self._snap_ffsub
         for net, _value in (*edit.wire_caps, *edit.wire_delays):
             if (net in final.nets or net in ffsub.nets) \
-                    and net not in grouped.nets:
+                    and net not in imported.nets:
                 return False
         return True
 
@@ -515,14 +600,9 @@ class IncrementalSession:
         result = self.result
         dirty_cells: Set[str] = set()
         dirty_nets: Set[str] = set()
-        snapshots = (
-            self._snap_imported,
-            self._snap_grouped,
-            self._snap_ffsub,
-            result.module,
-        )
         for edit in batch:
-            for module in snapshots:
+            for module in (self._snap_imported, self._snap_ffsub,
+                           result.module):
                 apply_edit(module, self.library, edit)
             if edit.kind == "swap_cell":
                 dirty_cells.add(edit.instance)
@@ -531,11 +611,7 @@ class IncrementalSession:
 
         reused = {name: True for name in FLOW_STAGES}
         # import: hygiene untouched; clock period re-derived warm
-        clock_period = options.clock_period
-        if clock_period is None:
-            clock_period = min_clock_period(
-                self._snap_imported, self.library, options.corner
-            )
+        clock_period = self._clock_period()
 
         # group: revalidate the cached partition around the dirty cells
         if dirty_cells:
@@ -584,21 +660,25 @@ class IncrementalSession:
             result.region_map,
             corner=options.corner,
         )
-        resized = False
-        for region, element in result.network.delay_elements.items():
-            length = element_length_for(
+        resized = any(
+            element_length_for(
                 result.ladder,
                 new_delays.get(region, 0.0),
                 options.delay_margin,
                 options.delay_mux_taps,
                 options.delay_mux_headroom,
-            )
-            if length != element.length:
-                resized = True
-                break
+            ) != element.length
+            for region, element in result.network.delay_elements.items()
+        )
 
+        reused["constraints"] = False
         if resized:
-            outcome = self._reinsert_network(new_delays, clock_period)
+            self._insert_network(new_delays, clock_period)
+            reused["network"] = False
+            path = "network"
+            region_status = diff_networks(
+                result.network, self.result.network
+            )
         else:
             # the splice: every structure survives, only the recorded
             # region delays and the SDC (pure functions) refresh
@@ -609,28 +689,24 @@ class IncrementalSession:
                 clock_period,
                 options.delay_margin,
             )
-            self._artifacts["clock_period"] = clock_period
-            self._artifacts["sdc"] = result.sdc
-            reused["constraints"] = False
-            outcome = ReflowOutcome(
-                result=result,
-                mode="incremental",
-                path="splice",
-                reused=reused,
-                region_status={
-                    region: "reused" for region in result.network.region_delays
-                },
-                clock_period=clock_period,
-            )
-        outcome.verified_regions = sorted(
-            {
-                result.region_map.region_of(cell)
-                for cell in dirty_cells
-                if result.region_map.region_of(cell) is not None
+            path = "splice"
+            region_status = {
+                region: "reused" for region in result.network.region_delays
             }
+        region_of = result.region_map.region_of
+        outcome = ReflowOutcome(
+            result=self.result,
+            mode="incremental",
+            path=path,
+            reused=reused,
+            region_status=region_status,
+            clock_period=clock_period,
+        )
+        outcome.verified_regions = sorted(
+            ({region_of(cell) for cell in dirty_cells} - {None})
             | {
                 region
-                for region, status in outcome.region_status.items()
+                for region, status in region_status.items()
                 if status != "reused"
             }
             | {
@@ -641,126 +717,41 @@ class IncrementalSession:
         )
         return outcome
 
-    def _reinsert_network(
-        self, new_delays: Dict[str, float], clock_period: float
-    ) -> ReflowOutcome:
-        """An element length moved: re-insert the controller network
-        into a clone of the (already edited) pre-network snapshot,
-        feeding it the warm region delays so no STA pass repeats."""
-        options = self.options
-        result = self.result
-        old_network = result.network
-        work = self._snap_ffsub.clone()
-        network = insert_control_network(
-            work,
-            self.library,
-            self.tool.gatefile,
-            result.region_map,
-            result.ddg,
-            result.ladder,
-            chooser=self.tool.chooser,
-            delay_margin=options.delay_margin,
-            mux_taps=options.delay_mux_taps,
-            mux_headroom=options.delay_mux_headroom,
-            reset_port=options.reset_port,
-            corner=options.corner,
-            precomputed_delays=new_delays,
-        )
-        sdc = generate_constraints(
-            work, network, clock_period, options.delay_margin
-        )
-        result.module.copy_from(work)
-        result.network = network
-        result.sdc = sdc
-        self._artifacts.update(
-            {
-                "network": network,
-                "sdc": sdc,
-                "clock_period": clock_period,
-                "module.network": result.module,
-            }
-        )
-        reused = {name: True for name in FLOW_STAGES}
-        reused["network"] = False
-        reused["constraints"] = False
-        return ReflowOutcome(
-            result=result,
-            mode="incremental",
-            path="network",
-            reused=reused,
-            region_status=diff_networks(old_network, network),
-            clock_period=clock_period,
-        )
-
     # -- deep fallback --------------------------------------------------
     def _apply_deep(
         self,
         batch: Sequence[NetlistEdit],
         already_applied: bool = False,
     ) -> ReflowOutcome:
-        """Re-run the stage functions from the imported snapshot.
+        """Re-run the stage functions from the import snapshot.
 
         Still far from a cold start: design import is skipped, the
-        ladder characterisation is reused and the edit lands on a
-        clone that carries the exact post-import name-counter state, so
-        the output is bit-identical to a from-scratch flow over the
-        edited input.
+        clock period re-times the import snapshot's warm graph and the
+        ladder characterisation is reused, so the output is
+        bit-identical to a from-scratch flow over the edited input.
         """
-        options = self.options
-        result = self.result
-        old_network = result.network
+        old_network = self.result.network
         if not already_applied:
             # fast-path bailouts already pushed the edits into every
             # snapshot; first-time deep edits only touch the base one
             for edit in batch:
                 apply_edit(self._snap_imported, self.library, edit)
-        clock_period = options.clock_period
-        if clock_period is None:
-            clock_period = min_clock_period(
-                self._snap_imported, self.library, options.corner
-            )
-        working = self._snap_imported.clone()
-        artifacts: Dict[str, Any] = {
-            "module.imported": working,
-            "clock_period": clock_period,
-            "import_stats": dict(self._artifacts["import_stats"]),
-            "ladder": result.ladder,
-        }
-        self._run_stages(
-            artifacts, ("group", "ffsub", "ddg", "network", "constraints")
-        )
-        self._artifacts = artifacts
-        final = artifacts["module.network"]
-        result.module.copy_from(final)
-        artifacts["module.network"] = result.module
-        result.region_map = artifacts["region_map.ffsub"]
-        result.ddg = artifacts["ddg"]
-        result.substitution = artifacts["substitution"]
-        result.network = artifacts["network"]
-        result.sdc = artifacts["sdc"]
-        import_stats = dict(artifacts["import_stats"])
-        import_stats.update(artifacts["clean_stats"])
-        result.import_stats = import_stats
-        self._prewarm()
+        clock_period = self._clock_period()
+        self._reflow(clock_period)
         reused = {name: False for name in FLOW_STAGES}
         reused["import"] = True
         reused["delays"] = True
         return ReflowOutcome(
-            result=result,
+            result=self.result,
             mode="incremental",
             path="deep",
             reused=reused,
-            region_status=diff_networks(old_network, result.network),
+            region_status=diff_networks(old_network, self.result.network),
             clock_period=clock_period,
         )
 
     # -- bookkeeping ----------------------------------------------------
-    def _record(
-        self,
-        outcome: ReflowOutcome,
-        batch: Sequence[NetlistEdit],
-        verify: str,
-    ) -> None:
+    def _record(self, outcome: ReflowOutcome, verify: str) -> None:
         for stage, hit in outcome.reused.items():
             if stage == "sim":
                 continue
@@ -774,25 +765,6 @@ class IncrementalSession:
             name = "flow.incr.reused" if outcome.reused["sim"] else \
                 "flow.incr.recomputed"
             metrics.counter(name, labels={"stage": "sim"}).inc()
-        if self.cache is not None and self.parent_key is not None:
-            from ..engine.cache import stable_hash
-
-            child = stable_hash(
-                {
-                    "parent": self.parent_key,
-                    "edits": [e.to_dict() for e in self._edits_applied],
-                }
-            )
-            self.cache.record_patch(
-                child,
-                {
-                    "parent": self.parent_key,
-                    "path": outcome.path,
-                    "edits": [e.to_dict() for e in batch],
-                    "reused": dict(outcome.reused),
-                },
-            )
-            self.parent_key = child
 
     def _verify(self, outcome: ReflowOutcome, verify: str) -> None:
         """Re-simulate the handshake layer, scoped to what changed."""

@@ -118,9 +118,10 @@ class ServiceDaemon:
         self._libraries: Dict[str, Any] = {}
         self._closed = False
         # eco support: live IncrementalSession per completed job, LRU
-        # bounded (a session pins three netlist snapshots plus warm
-        # STA graphs -- a handful is plenty; evicted sessions are
-        # rebuilt from the job chain on demand)
+        # bounded (a session pins four netlists -- the input copy, two
+        # timed snapshots and the result -- plus warm STA graphs; a
+        # handful is plenty; evicted sessions are rebuilt from the job
+        # chain on demand)
         self._sessions: "OrderedDict[str, Any]" = OrderedDict()
         self._session_cap = max(1, int(eco_sessions))
         # per-job observability: job id -> the job's Context, newest
@@ -379,11 +380,8 @@ class ServiceDaemon:
             )
             return session
         library = self._library(spec.library)
-        session = IncrementalSession(
-            library, spec.options, cache=self.cache
-        )
-        module = resolve_module(spec, library)
-        session.start(module, key=job.meta["key"])
+        session = IncrementalSession(library, spec.options)
+        session.start(resolve_module(spec, library))
         return session
 
     def _checkin_session(self, job_id: str, session) -> None:

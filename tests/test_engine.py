@@ -2,16 +2,14 @@
 
 Covers the cache-key semantics the engine promises (any option field,
 library variant or netlist edit invalidates exactly the affected
-stages), parallel-vs-serial result equivalence, timeout/retry
-robustness, graceful degradation of a failing P&R stage, and the JSONL
-run journal.
+stages), parallel-vs-serial result equivalence, graceful degradation
+of a failing P&R stage, and the JSONL run journal.
 """
 
 import dataclasses
 import enum
 import hashlib
 import re
-import time
 
 import pytest
 
@@ -20,7 +18,6 @@ from repro.designs import figure22_circuit, pipeline3
 from repro.engine import (
     ArtifactCache,
     FlowEngine,
-    FlowError,
     FlowGraph,
     FlowGraphError,
     RunJournal,
@@ -171,47 +168,6 @@ def test_parallel_matches_serial(lib, tmp_path):
     assert parallel.summary() == serial.summary()
     assert parallel.export_verilog() == serial.export_verilog()
     assert parallel.export_sdc() == serial.export_sdc()
-
-
-def test_stage_timeout_skips_dependents():
-    graph = FlowGraph("slow")
-    graph.add(Stage(
-        "sleep",
-        lambda _: time.sleep(5.0),
-        outputs=("a",),
-        timeout=0.05,
-        cacheable=False,
-    ))
-    graph.add(Stage(
-        "after", lambda d: d["a"], inputs=("a",), outputs=("b",),
-        cacheable=False,
-    ))
-    engine = FlowEngine(jobs=2)
-    result = engine.run(graph)
-    assert result.records["sleep"].status is StageStatus.TIMEOUT
-    assert result.records["after"].status is StageStatus.SKIPPED
-    assert not result.ok
-    with pytest.raises(FlowError, match="timeout"):
-        result.raise_first_failure()
-
-
-def test_flaky_stage_retries_until_success():
-    attempts = {"n": 0}
-
-    def flaky(_):
-        attempts["n"] += 1
-        if attempts["n"] < 2:
-            raise RuntimeError("transient")
-        return attempts["n"]
-
-    graph = FlowGraph("flaky")
-    graph.add(Stage(
-        "flaky", flaky, outputs=("x",), retries=1, cacheable=False
-    ))
-    result = FlowEngine().run(graph)
-    assert result.ok
-    assert result.records["flaky"].attempts == 2
-    assert result.artifacts["x"] == 2
 
 
 def test_failed_stage_keeps_partial_artifacts():

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.desync import DesyncOptions, desynchronize
-from repro.engine.cache import ArtifactCache
 from repro.flow.incremental import (
     EditError,
     IncrementalSession,
@@ -172,13 +171,6 @@ def test_apply_edit_missing_instance_raises():
                                             cell="BUFX2"))
 
 
-def test_cache_patch_provenance_round_trip(tmp_path):
-    cache = ArtifactCache(str(tmp_path / "cache"))
-    assert cache.get_patch("child") is None
-    cache.record_patch("child", {"parent": "root", "edits": 2})
-    assert cache.get_patch("child") == {"parent": "root", "edits": 2}
-
-
 # ----------------------------------------------------------------------
 # session paths on the 3-stage pipeline design
 # ----------------------------------------------------------------------
@@ -218,9 +210,9 @@ def test_wire_annotation_on_design_net_matches_oracle(pipe_session):
     # a post-import net that survives to the final module
     nets = sorted(
         net
-        for net in pipe_session._snap_grouped.nets
+        for net in pipe_session._snap_imported.nets
         if net in pipe_session.result.module.nets
-        and not pipe_session._snap_grouped.nets[net].is_constant
+        and not pipe_session._snap_imported.nets[net].is_constant
     )
     edit = NetlistEdit("annotate_wires", wire_caps={nets[0]: 0.004})
     outcome = pipe_session.apply(edit)
@@ -301,17 +293,91 @@ def test_scoped_verification_reports_affected_regions(pipe_session):
     )
 
 
-def test_session_records_patch_provenance(tmp_path):
-    cache = ArtifactCache(str(tmp_path / "cache"))
-    session = IncrementalSession(LIB, cache=cache)
-    session.start(pipeline3(LIB), key="rootjob")
-    target = _pick(session, "XOR2X1")
-    session.apply(NetlistEdit("swap_cell", instance=target, cell="XOR2X2"))
-    child = session.parent_key
-    assert child != "rootjob"
-    patch = cache.get_patch(child)
-    assert patch is not None
-    assert patch["parent"] == "rootjob"
+@pytest.mark.parametrize(
+    "make_bad, message",
+    [
+        (lambda xor: NetlistEdit("swap_cell", instance="no_such_instance",
+                                 cell="XOR2X2"),
+         "edit 1 (swap_cell): no instance 'no_such_instance'"),
+        (lambda xor: NetlistEdit("swap_cell", instance=xor, cell="NOPE"),
+         "edit 1 (swap_cell): no cell 'NOPE' in the library"),
+        (lambda xor: NetlistEdit("set_constant", net="no_such_net",
+                                 value=1),
+         "edit 1 (set_constant): no net 'no_such_net'"),
+        (lambda xor: NetlistEdit("annotate_wires",
+                                 wire_caps={"no_such_net": 0.01}),
+         "edit 1 (annotate_wires): no net 'no_such_net'"),
+    ],
+    ids=["missing-instance", "unknown-cell", "missing-constant-net",
+         "missing-annotated-net"],
+)
+def test_rejected_batch_leaves_session_intact(
+    pipe_session, make_bad, message
+):
+    # the batch is checked before any snapshot changes: the good first
+    # edit must not leak into the session when the second is rejected
+    xor = _pick(pipe_session, "XOR2X1")
+    good = NetlistEdit("swap_cell", instance=xor, cell="XOR2X2")
+    with pytest.raises(EditError) as info:
+        pipe_session.apply([good, make_bad(xor)])
+    assert str(info.value) == message
+    assert pipe_session._snap_imported.instances[xor].cell == "XOR2X1"
+    outcome = pipe_session.apply(
+        NetlistEdit("swap_cell", instance=_pick(pipe_session, "BUFX1"),
+                    cell="BUFX2")
+    )
+    assert outcome.path == "deep"
+    _assert_parity(pipe_session, outcome, "(after a rejected batch)")
+
+
+def test_batch_check_follows_earlier_edits_in_the_batch(pipe_session):
+    xor = _pick(pipe_session, "XOR2X1")
+    pins = dict(pipe_session._snap_imported.instances[xor].pins)
+    with pytest.raises(EditError, match="edit 1 .* no instance"):
+        pipe_session.apply([
+            NetlistEdit("remove_instance", instance=xor),
+            NetlistEdit("swap_cell", instance=xor, cell="XOR2X2"),
+        ])
+    with pytest.raises(EditError, match="edit 0 .* already exists"):
+        pipe_session.apply(NetlistEdit(
+            "add_instance", instance=xor, cell="XOR2X1", pins=pins,
+        ))
+    with pytest.raises(EditError, match="edit 0 .* has no pin 'Q'"):
+        pipe_session.apply(NetlistEdit(
+            "add_instance", instance="eco_x", cell="XOR2X1",
+            pins={"Q": "eco_n"},
+        ))
+    # an instance added earlier in the batch may be swapped later in it
+    outcome = pipe_session.apply([
+        NetlistEdit("add_instance", instance="eco_x", cell="XOR2X1",
+                    pins={**pins, "Z": "eco_n"}),
+        NetlistEdit("swap_cell", instance="eco_x", cell="XOR2X2"),
+        NetlistEdit("annotate_wires", wire_caps={"eco_n": 0.01}),
+    ])
+    assert outcome.path == "deep"
+    _assert_parity(pipe_session, outcome, "(add then swap)")
+
+
+def test_session_times_each_snapshot_once():
+    from repro.obs.context import Context, use
+    from repro.obs.metrics import MetricsRegistry
+
+    # an earlier start characterises (and memoises) the delay ladder
+    IncrementalSession(LIB).start(pipeline3(LIB))
+    registry = MetricsRegistry()
+    with use(Context(registry=registry)):
+        session = IncrementalSession(LIB)
+        session.start(dlx_core(LIB, registers=8, multiplier=False, width=16))
+        builds = registry.counter("sta.compiled.builds")
+        # one graph for the import snapshot, one for the ffsub snapshot
+        assert builds.value == 2
+        outcome = session.apply(NetlistEdit(
+            "swap_cell", instance=_pick(session, "BUFX1"), cell="BUFX2"
+        ))
+        assert outcome.path == "deep"
+        # the import snapshot re-times warm; only the new ffsub
+        # snapshot builds a graph
+        assert builds.value == 3
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +453,9 @@ def test_random_edits_match_full_flow_on_dlx(dlx_session, data):
     )
     nets = sorted(
         net
-        for net in session._snap_grouped.nets
+        for net in session._snap_imported.nets
         if net in session.result.module.nets
-        and not session._snap_grouped.nets[net].is_constant
+        and not session._snap_imported.nets[net].is_constant
     )
     if data.draw(st.booleans(), label="swap?"):
         edit = NetlistEdit(
