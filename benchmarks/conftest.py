@@ -37,8 +37,6 @@ CACHE_DIR = os.environ.get(
     "REPRO_CACHE_DIR",
     os.path.join(os.path.dirname(__file__), os.pardir, ".repro_cache"),
 )
-#: thread count for parallel flow branches (1 = deterministic serial)
-ENGINE_JOBS = int(os.environ.get("REPRO_JOBS", "2"))
 
 
 #: the append-only history store the ``repro bench`` verbs default to
@@ -102,7 +100,7 @@ def engine_cache():
 def make_engine(engine_cache):
     """Factory for per-benchmark engines sharing the session cache."""
 
-    def make(journal_path=None, jobs=ENGINE_JOBS, cache=True):
+    def make(journal_path=None, cache=True):
         journal = None
         if journal_path is not None:
             os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -110,7 +108,6 @@ def make_engine(engine_cache):
         return FlowEngine(
             cache=engine_cache if cache else None,
             journal=journal,
-            jobs=jobs,
         )
 
     return make

@@ -12,7 +12,7 @@ Usage::
              [--library hs|ll | --liberty file.lib]
              [--group auto|single] [--false-path NET ...]
              [--margin 0.10] [--mux-taps 8] [--gatefile out.gatefile]
-             [--jobs 4] [--journal run.jsonl]
+             [--journal run.jsonl]
              [--cache-dir DIR | --no-cache]
              [--trace trace.json] [--metrics metrics.json]
              [--profile [--profile-out DIR]]
@@ -25,8 +25,8 @@ flow error (unreadable input, grouping failure, export failure, ...).
 
 The conversion runs on the :mod:`repro.engine` flow engine: stage
 results are cached content-addressed under ``--cache-dir`` (default
-``.repro_cache``; disable with ``--no-cache``), ``--jobs N`` runs
-independent stages on a thread pool, and ``--journal`` records the
+``.repro_cache``; disable with ``--no-cache``), its stages run one
+after another on the calling thread, and ``--journal`` records the
 per-stage JSONL run journal.  The input is keyed on its bytes and
 parsed only when the ``import`` stage misses, and an ``export`` stage
 caches the output texts, so a re-run on a filled cache writes them
@@ -169,13 +169,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--gatefile", help="also write the generated gatefile"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run independent flow stages on N threads (default 1)",
-    )
-    parser.add_argument(
         "--journal",
         metavar="FILE",
         help="write the structured JSONL run journal to FILE",
@@ -289,11 +282,10 @@ def _print_summary(summary: Dict[str, Any], engine, cache) -> None:
     run = engine.results[-1]
     cached = len(run.cached_stages())
     log.info(
-        "  engine: %d stages, %d cached, %.3fs wall, jobs=%d, cache=%s",
+        "  engine: %d stages, %d cached, %.3fs wall, cache=%s",
         len(run.records),
         cached,
         run.wall_time,
-        engine.jobs,
         "off" if cache is None else "on",
     )
 
@@ -454,7 +446,7 @@ def _run_flow(args: argparse.Namespace) -> int:
 
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     journal = RunJournal(args.journal) if args.journal else RunJournal()
-    engine = FlowEngine(cache=cache, journal=journal, jobs=args.jobs)
+    engine = FlowEngine(cache=cache, journal=journal)
 
     # observability is opt-in: spans mirror into the run journal so one
     # artifact carries both the stage records and the timing tree

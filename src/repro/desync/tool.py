@@ -210,11 +210,9 @@ class Drdesync:
     construction -- the library-preparation phase of section 3.1);
     :meth:`run` desynchronizes one design by executing the section 3.2
     stage graph on a :class:`repro.engine.executor.FlowEngine`.  The
-    default engine is serial and uncached (identical behaviour to the
-    historical monolithic driver); passing an engine with an artifact
-    cache and/or ``jobs > 1`` makes repeat conversions resume from the
-    cached stage prefix and characterises the delay ladder in parallel
-    with the netlist stages.
+    default engine is uncached (identical behaviour to the historical
+    monolithic driver); passing an engine with an artifact cache makes
+    repeat conversions resume from the cached stage prefix.
     """
 
     def __init__(

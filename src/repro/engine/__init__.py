@@ -1,11 +1,13 @@
-"""repro.engine -- cached, parallel, observable flow orchestration.
+"""repro.engine -- cached, observable flow orchestration.
 
 The engine models an implementation flow as a DAG of pure-ish stages
-exchanging named artifacts, and executes it with content-addressed
-caching, optional thread-pool parallelism, a structured JSONL run
+exchanging named artifacts, and runs its stages one at a time on the
+calling thread with content-addressed caching, a structured JSONL run
 journal and graceful degradation (a failed stage skips only its
 dependents).  ``Drdesync``, the ``repro.flow`` implementation flows,
-the CLI and the benchmark harness all run on it.
+the CLI and the benchmark harness all run on it.  CPU-bound fan-out
+inside a stage (Monte-Carlo chips, STA corners) goes through the
+process pool of :func:`parallel_map`.
 
 Typical use::
 
@@ -14,7 +16,6 @@ Typical use::
     engine = FlowEngine(
         cache=ArtifactCache(".repro_cache"),
         journal=RunJournal("run.jsonl"),
-        jobs=4,
     )
     tool = Drdesync(library, engine=engine)
     result = tool.run(module)          # warm reruns resume from cache
@@ -34,10 +35,8 @@ from .executor import (
     FlowEngine,
     FlowError,
     FlowResult,
-    SerialExecutor,
     StageRecord,
     StageStatus,
-    ThreadExecutor,
 )
 from .graph import FlowGraph, FlowGraphError, Stage
 from .journal import RunJournal, read_journal
@@ -66,11 +65,9 @@ __all__ = [
     "HashError",
     "PoolItemError",
     "RunJournal",
-    "SerialExecutor",
     "Stage",
     "StageRecord",
     "StageStatus",
-    "ThreadExecutor",
     "default_jobs",
     "desync_stages",
     "engine_stats",

@@ -1,6 +1,6 @@
-"""Flow execution: serial and thread-pool executors plus the engine.
+"""Flow execution: the engine that runs a stage graph.
 
-The :class:`FlowEngine` schedules a :class:`~repro.engine.graph.FlowGraph`:
+The :class:`FlowEngine` runs a :class:`~repro.engine.graph.FlowGraph`:
 
 - **keys** -- each stage gets a content-addressed key chaining the
   graph name, stage name/version, its params and the fingerprints of
@@ -9,10 +9,9 @@ The :class:`FlowEngine` schedules a :class:`~repro.engine.graph.FlowGraph`:
 - **cache** -- with an :class:`~repro.engine.cache.ArtifactCache`
   attached, a key match loads the stage's artifacts from disk instead
   of running it (status ``cached``);
-- **parallelism** -- ``jobs > 1`` runs independent stages on a
-  ``concurrent.futures`` thread pool; ``jobs == 1`` is the
-  deterministic serial fallback executing stages in topological
-  insertion order on the calling thread;
+- **order** -- stages run one at a time on the calling thread, in
+  the graph's topological order (insertion order breaks ties); stage
+  bodies are CPU-bound Python, so threads would only take turns;
 - **robustness** -- graceful degradation: a failed stage is recorded
   (journal + result) and its dependents are skipped, but every
   artifact produced by the healthy part of the graph is still
@@ -26,8 +25,6 @@ that reads it runs.
 
 from __future__ import annotations
 
-import concurrent.futures
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,7 +32,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..netlist.core import Module
 from ..obs import metrics, trace
-from ..obs.context import current, use
+from ..obs.context import current
 from .cache import (
     ArtifactCache,
     CacheEntryError,
@@ -64,18 +61,11 @@ class ArtifactMap(dict):
     handles -- use keyed access.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lazy_lock = threading.Lock()
-
     def __getitem__(self, key):
         value = super().__getitem__(key)
         if isinstance(value, _PENDING):
-            with self._lazy_lock:
-                value = super().__getitem__(key)
-                if isinstance(value, _PENDING):
-                    value = value.load()
-                    super().__setitem__(key, value)
+            value = value.load()
+            super().__setitem__(key, value)
         return value
 
     def get(self, key, default=None):
@@ -185,55 +175,8 @@ def _module_metrics(outputs: Dict[str, Any]) -> Dict[str, Any]:
     return metrics
 
 
-class SerialExecutor:
-    """Deterministic in-thread execution in topological order."""
-
-    jobs = 1
-
-    def run(self, engine: "FlowEngine", state: "_RunState") -> None:
-        for stage in state.order:
-            state.process_stage_inline(stage)
-
-
-class ThreadExecutor:
-    """``concurrent.futures`` thread pool over the ready frontier."""
-
-    def __init__(self, jobs: int):
-        self.jobs = max(2, int(jobs))
-
-    def run(self, engine: "FlowEngine", state: "_RunState") -> None:
-        pending: Dict[concurrent.futures.Future, Tuple[Stage, float]] = {}
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.jobs
-        ) as pool:
-            while True:
-                # launch everything ready; cache hits resolve inline and
-                # may unlock more stages, hence the inner loop
-                launched = True
-                while launched:
-                    launched = False
-                    for stage in state.take_ready():
-                        disposition = state.begin_stage(stage)
-                        if disposition == "run":
-                            start = time.perf_counter()
-                            future = pool.submit(
-                                state.attempt_stage, stage
-                            )
-                            pending[future] = (stage, start)
-                        launched = True
-                if not pending:
-                    break
-                done, _ = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                now = time.perf_counter()
-                for future in done:
-                    stage, start = pending.pop(future)
-                    state.finish_stage(stage, future, now - start)
-
-
 class _RunState:
-    """Mutable bookkeeping shared between engine and executor."""
+    """Bookkeeping of one pass over a graph."""
 
     def __init__(
         self,
@@ -246,17 +189,9 @@ class _RunState:
         self.engine = engine
         self.graph = graph
         self.label = label
-        # the observability context at run entry (a CLI run's or a
-        # service job's); pool threads re-enter it so parallel stages
-        # trace, count and profile into the run that started them
-        self.context = current()
-        self.order = graph.topological_order()
         self.artifacts: ArtifactMap = ArtifactMap(initial)
         self.records: Dict[str, StageRecord] = {}
         self.fingerprints: Dict[str, str] = {}
-        self.lock = threading.Lock()
-        self._scheduled: Set[str] = set()
-        self._pending_key: Dict[str, Optional[str]] = {}
         use_cache = engine.cache is not None and engine.cache.enabled
         # a re-run reuses the first run's root fingerprints: stages may
         # have rewritten the initial module in place since
@@ -265,20 +200,6 @@ class _RunState:
             for name, value in initial.items()
         }
         self.fingerprints.update(self.roots)
-
-    # -- scheduling ----------------------------------------------------
-    def take_ready(self) -> List[Stage]:
-        """Stages whose dependencies are all settled, in topo order."""
-        ready: List[Stage] = []
-        with self.lock:
-            for stage in self.order:
-                if stage.name in self._scheduled:
-                    continue
-                deps = self.graph.dependencies(stage)
-                if all(d in self.records for d in deps):
-                    self._scheduled.add(stage.name)
-                    ready.append(stage)
-        return ready
 
     def _deps_failed(self, stage: Stage) -> Optional[str]:
         for dep in sorted(self.graph.dependencies(stage)):
@@ -296,9 +217,9 @@ class _RunState:
             hasher.update(self.fingerprints[artifact].encode())
         return hasher.hexdigest()
 
-    # -- lifecycle -----------------------------------------------------
-    def begin_stage(self, stage: Stage) -> str:
-        """Resolve skip/cache-hit inline; return "run" to execute."""
+    def run_stage(self, stage: Stage) -> None:
+        """Skip ``stage``, answer it from the cache, or run its body on
+        the calling thread; then record it."""
         blocker = self._deps_failed(stage)
         if blocker is not None:
             self._settle(
@@ -310,12 +231,17 @@ class _RunState:
                 ),
                 outputs=None,
             )
-            return "done"
+            return
 
         cache = self.engine.cache
         use_cache = cache is not None and cache.enabled and stage.cacheable
         key = self.stage_key(stage) if use_cache else None
-        self._register_outputs(stage, key)
+        fingerprint_base = key or f"raw:{self.graph.name}:{stage.name}"
+        for artifact in stage.outputs:
+            self.fingerprints[artifact] = f"{fingerprint_base}#{artifact}"
+        # the disposition is decided at the lookup: a stage that then
+        # fails still missed, and one that was never looked up is "off"
+        disposition = "off"
         if use_cache:
             with trace.span(
                 "cache:" + stage.name, stage=stage.name, graph=self.graph.name
@@ -335,86 +261,45 @@ class _RunState:
                     metrics=_module_metrics(cached),
                 )
                 self._settle(stage, record, outputs=cached)
-                return "done"
-        self._pending_key[stage.name] = key
-        return "run"
-
-    def _register_outputs(self, stage: Stage, key: Optional[str]) -> None:
-        fingerprint_base = key or f"raw:{self.graph.name}:{stage.name}"
-        with self.lock:
-            for artifact in stage.outputs:
-                self.fingerprints[artifact] = f"{fingerprint_base}#{artifact}"
-
-    def attempt_stage(self, stage: Stage) -> Tuple[Dict[str, Any], float]:
-        """Run the stage once on the calling thread; returns (outputs,
-        thread CPU seconds)."""
-        profiler = self.context.profiler
-        cpu_start = time.thread_time()
-        with use(self.context):
-            try:
-                with self.lock:
-                    inputs = {k: self.artifacts[k] for k in stage.inputs}
-                # the stage span roots the trace subtree for everything
-                # the stage function does: in-stage instrumentation
-                # (grouping, DDG, STA, ...) nests under it, so engine
-                # timings and fine-grained spans share one trace tree
-                with trace.span(
-                    "stage:" + stage.name,
-                    stage=stage.name,
-                    graph=self.graph.name,
-                ):
-                    if profiler.enabled:
-                        with profiler.stage(stage.name, self.graph.name):
-                            outputs = stage.call(inputs)
-                    else:
-                        outputs = stage.call(inputs)
-            except Exception as exc:
-                metrics.counter("engine.stage.errors").inc()
-                exc.__engine_cpu__ = (  # type: ignore[attr-defined]
-                    time.thread_time() - cpu_start
-                )
-                raise
-        return outputs, time.thread_time() - cpu_start
-
-    def process_stage_inline(self, stage: Stage) -> None:
-        """Serial path: begin, run on the calling thread, settle."""
-        if self.begin_stage(stage) != "run":
-            return
-        start = time.perf_counter()
-        try:
-            outputs, cpu = self.attempt_stage(stage)
-        except Exception as exc:
-            self._record_failure(stage, exc, time.perf_counter() - start)
-            return
-        self._record_success(stage, outputs, time.perf_counter() - start, cpu)
-
-    def finish_stage(
-        self,
-        stage: Stage,
-        future: "concurrent.futures.Future",
-        duration: float,
-    ) -> None:
-        """Thread path: settle a completed future."""
-        exc = future.exception()
-        if exc is not None:
-            self._record_failure(stage, exc, duration)
-            return
-        outputs, cpu = future.result()
-        self._record_success(stage, outputs, duration, cpu)
-
-    # -- terminal states -----------------------------------------------
-    def _record_success(
-        self,
-        stage: Stage,
-        outputs: Dict[str, Any],
-        duration: float,
-        cpu: float,
-    ) -> None:
-        key = self._pending_key.get(stage.name)
-        cache = self.engine.cache
-        use_cache = cache is not None and cache.enabled and stage.cacheable
-        if use_cache and key is not None:
+                return
             metrics.counter("engine.cache.misses").inc()
+            disposition = "miss"
+
+        profiler = current().profiler
+        start = time.perf_counter()
+        cpu_start = time.thread_time()
+        try:
+            inputs = {k: self.artifacts[k] for k in stage.inputs}
+            # the stage span roots the trace subtree for everything the
+            # stage function does: in-stage instrumentation (grouping,
+            # DDG, STA, ...) nests under it, so engine timings and
+            # fine-grained spans share one trace tree
+            with trace.span(
+                "stage:" + stage.name, stage=stage.name, graph=self.graph.name
+            ):
+                if profiler.enabled:
+                    with profiler.stage(stage.name, self.graph.name):
+                        outputs = stage.call(inputs)
+                else:
+                    outputs = stage.call(inputs)
+        except Exception as exc:
+            metrics.counter("engine.stage.errors").inc()
+            record = StageRecord(
+                stage.name,
+                StageStatus.FAILED,
+                duration=time.perf_counter() - start,
+                cpu=time.thread_time() - cpu_start,
+                attempts=1,
+                key=key,
+                cache=disposition,
+                error=exc,
+                error_text=f"{type(exc).__name__}: {exc}",
+            )
+            self._settle(stage, record, outputs=None)
+            return
+        cpu = time.thread_time() - cpu_start
+        duration = time.perf_counter() - start
+        if use_cache:
             cache.put(key, outputs)
         record = StageRecord(
             stage.name,
@@ -423,26 +308,10 @@ class _RunState:
             cpu=cpu,
             attempts=1,
             key=key,
-            cache="miss" if use_cache else "off",
+            cache=disposition,
             metrics=_module_metrics(outputs),
         )
         self._settle(stage, record, outputs=outputs)
-
-    def _record_failure(
-        self, stage: Stage, exc: BaseException, duration: float
-    ) -> None:
-        record = StageRecord(
-            stage.name,
-            StageStatus.FAILED,
-            duration=duration,
-            cpu=getattr(exc, "__engine_cpu__", 0.0),
-            attempts=1,
-            key=self._pending_key.get(stage.name),
-            cache="off" if self.engine.cache is None else "miss",
-            error=exc,
-            error_text=f"{type(exc).__name__}: {exc}",
-        )
-        self._settle(stage, record, outputs=None)
 
     def _settle(
         self,
@@ -450,10 +319,9 @@ class _RunState:
         record: StageRecord,
         outputs: Optional[Dict[str, Any]],
     ) -> None:
-        with self.lock:
-            if outputs:
-                self.artifacts.update(outputs)
-            self.records[stage.name] = record
+        if outputs:
+            self.artifacts.update(outputs)
+        self.records[stage.name] = record
         journal = self.engine.journal
         if journal is not None:
             journal.record(
@@ -495,23 +363,16 @@ def _damaged_entry(
 
 
 class FlowEngine:
-    """The orchestrator binding cache, journal and an executor."""
+    """The orchestrator binding cache and journal to graph runs."""
 
     def __init__(
         self,
         cache: Optional[ArtifactCache] = None,
         journal: Optional[RunJournal] = None,
-        jobs: int = 1,
     ):
         self.cache = cache
         self.journal = journal
-        self.jobs = max(1, int(jobs))
         self.results: List[FlowResult] = []
-
-    def _executor(self):
-        if self.jobs <= 1:
-            return SerialExecutor()
-        return ThreadExecutor(self.jobs)
 
     def run(
         self,
@@ -567,17 +428,15 @@ class FlowEngine:
                 run=label,
                 graph=graph.name,
                 stages=len(graph),
-                jobs=self.jobs,
                 cache="on"
                 if (self.cache is not None and self.cache.enabled)
                 else "off",
             )
         start = time.perf_counter()
         state = _RunState(self, graph, initial, label, roots)
-        with trace.span(
-            "run:" + label, graph=graph.name, jobs=self.jobs
-        ) as run_span:
-            self._executor().run(self, state)
+        with trace.span("run:" + label, graph=graph.name) as run_span:
+            for stage in graph.topological_order():
+                state.run_stage(stage)
         wall = time.perf_counter() - start
         run_span.set("stages", len(state.records))
         metrics.counter("engine.runs").inc()

@@ -116,7 +116,7 @@ class FlowGraph:
 
     def topological_order(self) -> List[Stage]:
         """Kahn's algorithm, insertion order as the deterministic
-        tie-break -- the serial executor's execution order."""
+        tie-break -- the order the engine runs stages in."""
         deps = {s.name: self.dependencies(s) for s in self.stages.values()}
         done: Set[str] = set()
         order: List[Stage] = []

@@ -24,8 +24,9 @@ class RunJournal:
     trace ID), so journal lines, exported trace events and HTTP
     tickets correlate on one key.  Records are serialised under the
     journal lock and written as one ``write`` call per line, so
-    concurrent writers -- a per-job tracer mirroring spans from
-    several engine pool threads -- can never interleave partial lines.
+    concurrent writers -- the daemon's journal records submissions
+    from HTTP threads and settlements from worker threads -- can never
+    interleave partial lines.
     """
 
     def __init__(
@@ -53,9 +54,8 @@ class RunJournal:
         """Record one event; returns the stamped entry.
 
         Recording after :meth:`close` keeps accepting events in memory
-        -- late writers (a timed-out stage's abandoned worker thread,
-        an exporter flushing after the run) must not crash on the
-        closed file handle.
+        -- a late writer (an exporter flushing after the run) must not
+        crash on the closed file handle.
 
         ``_flush=False`` skips the per-line flush for high-rate,
         loss-tolerant events (span mirroring); buffered lines still

@@ -1,11 +1,12 @@
 """Process-pool fan-out for CPU-bound, order-preserving map work.
 
-The :class:`~repro.engine.executor.FlowEngine` parallelises *stages* on
-a thread pool, which is the right shape for I/O-ish orchestration but
-not for thousands of identical CPU-bound work items (Monte-Carlo chip
-sampling, per-chip simulations): the GIL serialises them.
+The :class:`~repro.engine.executor.FlowEngine` runs its stages one at
+a time on the calling thread: stage bodies are CPU-bound Python, which
+the GIL would serialise on threads anyway.  Real parallelism comes from
+inside a stage, where thousands of identical work items (Monte-Carlo
+chip sampling, per-chip simulations, STA corners) are independent:
 :func:`parallel_map` fans such items out over a
-``concurrent.futures.ProcessPoolExecutor`` instead.
+``concurrent.futures.ProcessPoolExecutor``.
 
 Guarantees:
 

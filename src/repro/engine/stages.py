@@ -7,8 +7,8 @@ graph
                             \\-> (delays) --^
 
 where ``delays`` (the STA characterisation of the delay-element ladder,
-section 3.2.5) depends only on the library and therefore runs in
-parallel with -- and caches independently of -- the netlist stages.
+section 3.2.5) depends only on the library and therefore caches
+independently of the netlist stages (and survives any netlist edit).
 Each stage's ``params`` carry exactly the option fields and the library
 fingerprint its result depends on, so editing one ``DesyncOptions``
 field invalidates only the stages downstream of that option.

@@ -10,11 +10,11 @@ metrics at each phase.
 
 Both flows execute as stage graphs on the
 :class:`repro.engine.executor.FlowEngine`: with a cached engine, warm
-reruns resume from the cached stage prefix; with ``jobs > 1`` the
-synchronous and desynchronized branches of a comparison run in
-parallel.  The P&R stage degrades gracefully -- a backend failure is
-recorded on the result (and in the engine journal) while the
-post-synthesis reports survive.
+reruns resume from the cached stage prefix.  Without an ``engine=``
+each call runs on a fresh, uncached engine, so nothing outlives the
+call but its result.  The P&R stage degrades gracefully -- a
+backend failure is recorded on the result (and in the engine journal)
+while the post-synthesis reports survive.
 """
 
 from __future__ import annotations
@@ -43,18 +43,6 @@ from ..sta.analysis import min_clock_period
 from .reports import AreaReport, ComparisonTable, area_report
 
 log = logging.getLogger("repro.flow")
-
-#: engine used when the caller does not supply one: deterministic
-#: serial execution, no cache -- the historical behaviour
-_default_engine: Optional[FlowEngine] = None
-
-
-def default_engine() -> FlowEngine:
-    global _default_engine
-    if _default_engine is None:
-        _default_engine = FlowEngine()
-    return _default_engine
-
 
 @dataclass
 class ImplementationResult:
@@ -379,7 +367,7 @@ def implement_synchronous(
     engine: Optional[FlowEngine] = None,
 ) -> ImplementationResult:
     """The conventional flow: (DFT) -> P&R -> reports."""
-    engine = engine or default_engine()
+    engine = engine or FlowEngine()
     log.info("implementing %s (synchronous flow)", module.name)
     with trace.span("flow:sync", module=module.name) as span:
         gatefile = build_gatefile(library)
@@ -417,7 +405,7 @@ def implement_desynchronized(
     engine: Optional[FlowEngine] = None,
 ) -> ImplementationResult:
     """The desynchronization flow: (DFT) -> drdesync -> P&R -> reports."""
-    engine = engine or default_engine()
+    engine = engine or FlowEngine()
     tool = tool or Drdesync(library)
     log.info("implementing %s (desynchronization flow)", module.name)
     with trace.span("flow:desync", module=module.name) as span:
@@ -458,11 +446,11 @@ def implement_comparison(
 ) -> Tuple[ImplementationResult, ImplementationResult, ComparisonTable]:
     """Both implementations as ONE stage graph (Figure 5.1 discipline).
 
-    The two branches share no artifacts, so a parallel engine runs them
-    concurrently; a cached engine resumes either branch from its cached
-    prefix independently.
+    The two branches share no artifacts, so a failure in one skips
+    nothing in the other, and a cached engine resumes either branch
+    from its cached prefix independently.
     """
-    engine = engine or default_engine()
+    engine = engine or FlowEngine()
     log.info("comparing %s: synchronous vs desynchronized", design_name)
     with trace.span("flow:compare", design=design_name):
         gatefile = build_gatefile(library)

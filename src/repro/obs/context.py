@@ -17,10 +17,10 @@ all off, so an uninstrumented run pays one thread-local read and one
 ``if`` per call.
 
 Contexts are per thread: a service daemon runs concurrent jobs, each
-in its own context, without one job seeing another's spans or
-counters.  Code that hands work to other threads captures ``current()``
-and re-enters it there -- the flow engine does this on its pool
-threads, so parallel stages land in the run that started them.
+on its own worker thread in its own context, without one job seeing
+another's spans or counters.  The flow engine runs every stage on the
+thread that called it, so a run's stages record into that thread's
+context.
 """
 
 from __future__ import annotations

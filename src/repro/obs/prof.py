@@ -21,8 +21,8 @@ A :class:`Profiler` wraps each stage callable the engine executes:
 The profiler of a run is the ``profiler`` of its
 :class:`repro.obs.context.Context`, disabled unless the run opts in
 (the CLI's ``--profile``, a service job's ``profile``).  The engine
-captures the context at run entry and re-enters it on its pool
-threads, so parallel stages attribute to the right run's profile.
+runs every stage on the calling thread, so each stage attributes to
+the profile of the run that called it.
 
 The disabled fast path is one thread-local read and one ``if`` per
 stage (and per kernel counter flush) -- the ``bench_obs.py`` A/B gate
@@ -30,12 +30,11 @@ holds the measured disabled-path overhead on the warm DLX flow under
 2%.
 
 cProfile is per-thread (``sys.setprofile`` has thread-local effect),
-so concurrently profiled stages on different pool threads do not
-fight over one global profiler.  tracemalloc *is* process-global:
-with parallel stages the per-stage peak/delta are attributed to the
-stage that observed them and are approximate under concurrency; the
-tables stay exact in the serial executor, which is the deterministic
-profiling configuration.
+so the stages of concurrently profiled service jobs, each on its own
+worker thread, do not fight over one global profiler.  tracemalloc
+*is* process-global: while profiled jobs overlap, each stage's
+peak/delta also counts the other jobs' allocations; one run at a time
+(a CLI run, or a daemon with one worker) keeps them exact.
 """
 
 from __future__ import annotations

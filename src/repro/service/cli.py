@@ -3,12 +3,11 @@
 ::
 
     repro serve  [--host H] [--port P] [--run-dir DIR] [--workers N]
-                 [--flow-jobs N] [--max-pending N] [--cache-max-mb MB]
+                 [--max-pending N] [--cache-max-mb MB]
                  [--max-trace-spans N] [--log-level LEVEL]
     repro submit DESIGN [--url URL] [--param k=v ...] [--option k=v ...]
                  [--library hs|ll] [--top NAME] [--priority N]
-                 [--timeout S] [--profile] [--no-reuse] [--wait]
-                 [--verilog-out F]
+                 [--profile] [--no-reuse] [--wait] [--verilog-out F]
     repro status [JOB_ID] [--url URL]
     repro trace  JOB_ID [--url URL] [--out FILE]
     repro profile JOB_ID [--url URL] [--out FILE]
@@ -74,10 +73,6 @@ def build_service_parser() -> argparse.ArgumentParser:
         help="concurrent flow jobs (default 2)",
     )
     serve.add_argument(
-        "--flow-jobs", type=int, default=1,
-        help="engine threads inside each flow (default 1)",
-    )
-    serve.add_argument(
         "--max-pending", type=int, default=256,
         help="queued-job backpressure bound (default 256)",
     )
@@ -124,7 +119,6 @@ def build_service_parser() -> argparse.ArgumentParser:
     submit.add_argument("--library", choices=["hs", "ll"], default="hs")
     submit.add_argument("--top", help="top module for Verilog submissions")
     submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--timeout", type=float, default=None)
     submit.add_argument(
         "--profile", action="store_true",
         help="capture a per-stage profile (fetch with 'repro profile')",
@@ -188,7 +182,6 @@ def _cmd_serve(args) -> int:
     daemon = ServiceDaemon(
         run_dir=args.run_dir,
         workers=args.workers,
-        flow_jobs=args.flow_jobs,
         max_pending=args.max_pending,
         cache_max_bytes=cache_max_bytes,
         max_trace_spans=args.max_trace_spans,
@@ -226,7 +219,6 @@ def _cmd_submit(args) -> int:
     spec_kwargs: Dict[str, Any] = {
         "library": args.library,
         "priority": args.priority,
-        "timeout": args.timeout,
         "profile": args.profile,
         "options": options_from_dict(_parse_kv(args.option, "option")),
     }

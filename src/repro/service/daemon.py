@@ -59,7 +59,7 @@ _METRIC_HELP = {
     "service.jobs.submitted": "jobs accepted by the daemon",
     "service.jobs.deduped": "submissions answered by an existing job",
     "service.jobs.done": "jobs settled successfully",
-    "service.jobs.failed": "jobs settled with an error or timeout",
+    "service.jobs.failed": "jobs settled with an error",
     "service.jobs.cancelled": "jobs cancelled while queued",
     "service.jobs.eco": "incremental (eco) jobs executed",
     "flow.incr.reused": "incremental re-flow: stages reused, by stage",
@@ -84,7 +84,6 @@ class ServiceDaemon:
         run_dir: str = ".repro_service",
         cache_dir: Optional[str] = None,
         workers: int = 2,
-        flow_jobs: int = 1,
         max_pending: Optional[int] = 256,
         cache_max_bytes: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -99,7 +98,6 @@ class ServiceDaemon:
             cache_dir or os.path.join(self.run_dir, "cache"),
             max_bytes=cache_max_bytes,
         )
-        self.flow_jobs = max(1, int(flow_jobs))
         self.registry = (
             registry if registry is not None else MetricsRegistry()
         )
@@ -141,7 +139,6 @@ class ServiceDaemon:
             "daemon_start",
             run_dir=self.run_dir,
             workers=workers,
-            flow_jobs=self.flow_jobs,
             cache_dir=self.cache.directory,
             cache_max_bytes=cache_max_bytes,
         )
@@ -222,7 +219,6 @@ class ServiceDaemon:
                 lambda: self._run_job(job_id, spec, library, trace_id),
                 job_id=job_id,
                 priority=spec.priority,
-                timeout=spec.timeout,
                 meta={"spec": spec, "key": key, "trace_id": trace_id},
             )
         except (QueueFull, QueueClosed):
@@ -300,9 +296,7 @@ class ServiceDaemon:
         self, spec: JobSpec, library, journal: RunJournal
     ) -> Dict[str, Any]:
         """One full flow on a per-job engine sharing the daemon cache."""
-        engine = FlowEngine(
-            cache=self.cache, journal=journal, jobs=self.flow_jobs
-        )
+        engine = FlowEngine(cache=self.cache, journal=journal)
         result = execute_job(spec, library, engine)
         run = engine.results[-1]
         for record in run.records.values():

@@ -86,11 +86,9 @@ class JobSpec:
     options: DesyncOptions = field(default_factory=DesyncOptions)
     #: larger runs first among queued jobs
     priority: int = 0
-    #: wall-clock budget in seconds (None = unbounded)
-    timeout: Optional[float] = None
     #: capture a per-stage profile for this run (cProfile + tracemalloc,
     #: served over ``GET /jobs/<id>/profile``); excluded from the job
-    #: key like priority/timeout -- observability never splits the cache
+    #: key like priority -- observability never splits the cache
     profile: bool = False
     #: eco job: ID of the completed job whose result the edits patch
     #: (design, library and options are inherited from that job)
@@ -132,7 +130,6 @@ class JobSpec:
             "library": self.library,
             "options": options_to_dict(self.options),
             "priority": self.priority,
-            "timeout": self.timeout,
             "profile": self.profile or None,
             "parent": self.parent,
             "edits": [dict(edit) for edit in self.edits],
@@ -185,8 +182,8 @@ def job_key(spec: JobSpec, library) -> str:
     """Content-addressed identity of a submission.
 
     Everything that determines the flow's output -- and nothing that
-    does not (priority, timeout, profile) -- feeds the key, so
-    scheduling and observability knobs never split the cache.
+    does not (priority, profile) -- feeds the key, so scheduling and
+    observability knobs never split the cache.
     """
     return stable_hash(
         {

@@ -3,13 +3,15 @@
 The queue is the scheduling half of the service: it accepts callables
 (the daemon binds each one to a flow run), orders them by priority
 (FIFO within a priority level), and executes them on a fixed pool of
-worker threads.  Per-job it supports cancellation (queued jobs settle
-``cancelled``; running flows cannot be interrupted mid-stage, so a
-cancel request on a running job is recorded and reported, mirroring
-the engine's abandon-the-thread timeout semantics), a wall-clock
-timeout (the worker abandons the still-running flow thread and settles
-the job ``failed``), and crash isolation -- a raising job settles
-``failed`` with the error text while the worker moves on.
+worker threads, each job to completion on its worker, so at most
+``workers`` flows ever run at once.  Per-job it supports cancellation
+(queued jobs settle ``cancelled``; a running Python flow cannot be
+interrupted, so a cancel request on a running job is recorded and
+reported) and crash isolation -- a raising job settles ``failed`` with
+the error text while the worker moves on.  There is no server-side
+deadline: it could only report a failure early while the flow kept
+running; a client bounds its own wait instead
+(:meth:`repro.service.client.ServiceClient.wait`).
 
 ``max_pending`` is the backpressure knob: submissions beyond that many
 queued jobs raise :class:`QueueFull` instead of growing without bound
@@ -55,7 +57,6 @@ class Job:
     id: str
     fn: Callable[[], Any]
     priority: int = 0
-    timeout: Optional[float] = None
     #: caller-owned bag (the daemon parks spec/key/payload here)
     meta: Dict[str, Any] = field(default_factory=dict)
     state: JobState = JobState.QUEUED
@@ -111,7 +112,6 @@ class JobQueue:
         fn: Callable[[], Any],
         job_id: str,
         priority: int = 0,
-        timeout: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Job:
         """Enqueue ``fn``; highest ``priority`` runs first."""
@@ -131,7 +131,6 @@ class JobQueue:
                 id=job_id,
                 fn=fn,
                 priority=priority,
-                timeout=timeout,
                 meta=dict(meta or {}),
             )
             self._jobs[job_id] = job
@@ -248,49 +247,17 @@ class JobQueue:
                     self._settled.notify_all()
 
     def _execute(self, job: Job) -> None:
-        """Run one job, enforcing its wall-clock timeout.
-
-        A bounded job runs on a helper thread the worker abandons on
-        overrun -- the flow cannot be interrupted, but the job settles
-        promptly and the worker is free for the next one.
-        """
-        if job.timeout is None:
-            try:
-                result = job.fn()
-            except Exception as exc:
-                self._settle(
-                    job,
-                    JobState.FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                return
-            self._settle(job, JobState.DONE, result=result)
-            return
-
-        outcome: Dict[str, Any] = {}
-
-        def run():
-            try:
-                outcome["result"] = job.fn()
-            except Exception as exc:  # crash isolation
-                outcome["error"] = f"{type(exc).__name__}: {exc}"
-
-        runner = threading.Thread(
-            target=run, name=f"jobq-run-{job.id}", daemon=True
-        )
-        runner.start()
-        runner.join(job.timeout)
-        if runner.is_alive():
+        """Run one job to completion on this worker and settle it."""
+        try:
+            result = job.fn()
+        except Exception as exc:  # crash isolation
             self._settle(
                 job,
                 JobState.FAILED,
-                error=f"job exceeded its {job.timeout:.3f}s timeout",
+                error=f"{type(exc).__name__}: {exc}",
             )
             return
-        if "error" in outcome:
-            self._settle(job, JobState.FAILED, error=outcome["error"])
-        else:
-            self._settle(job, JobState.DONE, result=outcome.get("result"))
+        self._settle(job, JobState.DONE, result=result)
 
     def _settle(
         self, job: Job, state: JobState, result: Any = None,
@@ -304,7 +271,7 @@ class JobQueue:
         error: Optional[str] = None,
     ) -> None:
         if job.state.terminal:
-            return  # a timed-out job's abandoned thread finishing late
+            return  # settle once: on_settle sees each job exactly once
         job.state = state
         job.result = result
         job.error = error

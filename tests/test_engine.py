@@ -2,8 +2,8 @@
 
 Covers the cache-key semantics the engine promises (any option field,
 library variant or netlist edit invalidates exactly the affected
-stages), parallel-vs-serial result equivalence, graceful degradation
-of a failing P&R stage, and the JSONL run journal.
+stages), the cache disposition of every stage record, graceful
+degradation of a failing P&R stage, and the JSONL run journal.
 """
 
 import dataclasses
@@ -29,6 +29,7 @@ from repro.engine import (
     stable_hash,
 )
 from repro.liberty import core9_hs, core9_ll
+from repro.obs import Context, MetricsRegistry, use
 
 DESYNC_STAGES = (
     "import", "group", "ffsub", "ddg", "delays", "network", "constraints"
@@ -40,11 +41,9 @@ def lib():
     return core9_hs()
 
 
-def make_engine(tmp_path, jobs=1, journal=None):
+def make_engine(tmp_path, journal=None):
     return FlowEngine(
-        cache=ArtifactCache(str(tmp_path / "cache")),
-        journal=journal,
-        jobs=jobs,
+        cache=ArtifactCache(str(tmp_path / "cache")), journal=journal
     )
 
 
@@ -158,16 +157,7 @@ def test_no_cache_engine_records_off(lib, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# executors
-
-
-def test_parallel_matches_serial(lib, tmp_path):
-    module = figure22_circuit(lib)
-    serial = run_desync(lib, FlowEngine(jobs=1), module.clone())
-    parallel = run_desync(lib, FlowEngine(jobs=4), module.clone())
-    assert parallel.summary() == serial.summary()
-    assert parallel.export_verilog() == serial.export_verilog()
-    assert parallel.export_sdc() == serial.export_sdc()
+# stage runs
 
 
 def test_failed_stage_keeps_partial_artifacts():
@@ -188,6 +178,34 @@ def test_failed_stage_keeps_partial_artifacts():
     result.raise_first_failure(allow=("boom",))
     with pytest.raises(RuntimeError):
         result.raise_first_failure()
+
+
+@pytest.mark.parametrize(
+    "enabled, cacheable, disposition",
+    [(True, False, "off"), (False, True, "off"), (True, True, "miss")],
+    ids=["uncacheable-stage", "disabled-cache", "missed"],
+)
+def test_failed_stage_reports_the_lookup_it_made(
+    tmp_path, enabled, cacheable, disposition
+):
+    """A failed stage's ``cache`` field says whether the cache was
+    consulted, and the run's registry counts every miss the cache
+    counts."""
+
+    def boom(_):
+        raise RuntimeError("stage fell over")
+
+    graph = FlowGraph("disposition")
+    graph.add(Stage("boom", boom, outputs=("b",), cacheable=cacheable))
+    cache = ArtifactCache(str(tmp_path / "cache"), enabled=enabled)
+    registry = MetricsRegistry()
+    with use(Context(registry=registry)):
+        result = FlowEngine(cache=cache).run(graph)
+    record = result.records["boom"]
+    assert record.status is StageStatus.FAILED
+    assert record.cache == disposition
+    misses = registry.snapshot()["counters"].get("engine.cache.misses", 0)
+    assert misses == cache.stats.misses == (1 if disposition == "miss" else 0)
 
 
 def test_pnr_failure_degrades_gracefully(lib, tmp_path, monkeypatch):
@@ -271,12 +289,11 @@ def test_render_report_and_stats(lib, tmp_path):
     assert stats["cache"]["misses"] == len(DESYNC_STAGES)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_stage_cpu_time_in_records_journal_and_report(lib, tmp_path, jobs):
+def test_stage_cpu_time_in_records_journal_and_report(lib, tmp_path):
     """Each stage record and ``stage_end`` event carries the CPU seconds
     of the thread that ran the stage body; a cache hit ran none."""
     journal = RunJournal()
-    engine = make_engine(tmp_path, jobs=jobs, journal=journal)
+    engine = make_engine(tmp_path, journal=journal)
     run_desync(lib, engine, pipeline3(lib))
     cold = engine.results[-1]
     assert all(record.cpu >= 0.0 for record in cold.records.values())

@@ -1,6 +1,8 @@
 """Implementation-flow and CLI tests."""
 
+import gc
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,21 @@ def test_desync_flow_produces_reports(lib):
     result = implement_desynchronized(mod, lib)
     assert result.desync is not None
     assert result.post_layout.core_size > 0
+
+
+@pytest.mark.parametrize(
+    "flow", [implement_synchronous, implement_desynchronized]
+)
+def test_flow_without_engine_keeps_no_netlist_alive(lib, flow):
+    """A flow called without ``engine=`` leaves nothing behind that
+    pins its netlists once the caller drops them."""
+    module = pipeline3(lib)
+    ref = weakref.ref(module)
+    result = flow(module, lib)
+    assert result.post_synthesis.cells > 0
+    del module, result
+    gc.collect()
+    assert ref() is None
 
 
 def test_comparison_table_shape(lib):
@@ -152,6 +169,8 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert cli_main([]) == 1
     # bad choice for --group
     assert cli_main(["x.v", "--group", "bogus"]) == 1
+    # the engine runs stages on the calling thread: no pool to size
+    assert cli_main(["x.v", "--jobs", "2"]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err
 
@@ -173,7 +192,6 @@ def test_cli_cache_journal_jobs_round_trip(lib, tmp_path):
         "-o", str(tmp_path / "out.v"),
         "--cache-dir", str(cache_dir),
         "--journal", str(journal),
-        "--jobs", "2",
         "--quiet",
     ]
     assert cli_main(argv) == 0

@@ -231,6 +231,7 @@ def test_engine_without_scope_profiles_nothing():
 
 
 def test_parallel_executor_attributes_stages_to_the_scoped_profiler():
+    """Independent stages all profile into the context's profiler."""
     graph = FlowGraph("par")
     for i in range(4):
         graph.add(
@@ -243,7 +244,7 @@ def test_parallel_executor_attributes_stages_to_the_scoped_profiler():
         )
     profiler = Profiler(enabled=True, memory=False)
     with use(Context(profiler=profiler)):
-        FlowEngine(jobs=3).run(graph)
+        FlowEngine().run(graph)
     assert {p.name for p in profiler.profiles()} == {
         "branch0", "branch1", "branch2", "branch3"
     }
