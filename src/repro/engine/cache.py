@@ -50,7 +50,7 @@ from ..netlist.core import Module
 #: them and fails until this is bumped), the canonical hash below
 #: changes, or the Verilog reader's output changes (the CLI keys its
 #: input on the file's bytes, not on the parsed netlist).
-CACHE_SCHEMA = "2"
+CACHE_SCHEMA = "3"
 
 #: manifest layout written by :meth:`ArtifactCache.put`
 MANIFEST_FORMAT = 3

@@ -26,7 +26,7 @@ that reads it runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -95,6 +95,9 @@ class StageRecord:
     duration: float = 0.0
     #: CPU seconds of the thread that ran the stage body (0 on a hit)
     cpu: float = 0.0
+    #: seconds ``ArtifactCache.put`` took to store the outputs (0 on a
+    #: hit and when the cache is off)
+    put: float = 0.0
     attempts: int = 0
     key: Optional[str] = None
     cache: str = "off"  # "hit" | "miss" | "off"
@@ -299,13 +302,17 @@ class _RunState:
             return
         cpu = time.thread_time() - cpu_start
         duration = time.perf_counter() - start
+        put = 0.0
         if use_cache:
+            put_start = time.perf_counter()
             cache.put(key, outputs)
+            put = time.perf_counter() - put_start
         record = StageRecord(
             stage.name,
             StageStatus.OK,
             duration=duration,
             cpu=cpu,
+            put=put,
             attempts=1,
             key=key,
             cache=disposition,
@@ -331,6 +338,7 @@ class _RunState:
                 status=record.status.value,
                 duration=round(record.duration, 6),
                 cpu=round(record.cpu, 6),
+                put=round(record.put, 6),
                 attempts=record.attempts,
                 cache=record.cache,
                 key=record.key[:12] if record.key else None,
@@ -372,6 +380,8 @@ class FlowEngine:
     ):
         self.cache = cache
         self.journal = journal
+        #: one result per run; only the last keeps its artifacts, so a
+        #: reused engine does not pin every netlist it has converted
         self.results: List[FlowResult] = []
 
     def run(
@@ -412,6 +422,8 @@ class FlowEngine:
             result, state = self._run_once(
                 graph, initial, label, roots=state.roots
             )
+        if self.results:
+            self.results[-1] = replace(self.results[-1], artifacts={})
         self.results.append(result)
         return result
 

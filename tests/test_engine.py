@@ -291,22 +291,56 @@ def test_render_report_and_stats(lib, tmp_path):
 
 def test_stage_cpu_time_in_records_journal_and_report(lib, tmp_path):
     """Each stage record and ``stage_end`` event carries the CPU seconds
-    of the thread that ran the stage body; a cache hit ran none."""
+    of the thread that ran the stage body, and the seconds the cache
+    took to store its outputs; a cache hit ran and stored nothing, and
+    a run without a cache stores nothing."""
     journal = RunJournal()
     engine = make_engine(tmp_path, journal=journal)
     run_desync(lib, engine, pipeline3(lib))
     cold = engine.results[-1]
     assert all(record.cpu >= 0.0 for record in cold.records.values())
     assert sum(record.cpu for record in cold.records.values()) > 0.0
+    assert all(record.put > 0.0 for record in cold.records.values())
     run_desync(lib, engine, pipeline3(lib))
     warm = engine.results[-1]
     assert all(record.cpu == 0.0 for record in warm.records.values())
+    assert all(record.put == 0.0 for record in warm.records.values())
     ends = journal.select("stage_end")
     assert len(ends) == 2 * len(DESYNC_STAGES)
     assert all(event["cpu"] >= 0.0 for event in ends)
     assert all(event["cpu"] == 0.0 for event in ends if event["cache"] == "hit")
+    assert all(
+        (event["put"] > 0.0) == (event["cache"] == "miss") for event in ends
+    )
     report = render_report(cold)
     assert "cpu (s)" in report.splitlines()[1]
+    uncached = RunJournal()
+    run_desync(lib, FlowEngine(journal=uncached), pipeline3(lib))
+    ends = uncached.select("stage_end")
+    assert ends and all(event["put"] == 0.0 for event in ends)
+
+
+def test_reused_engine_keeps_only_the_last_runs_artifacts(lib):
+    """A reused ``Drdesync`` pins no netlist of an earlier run: the
+    engine keeps every run's records but only the last one's
+    artifacts."""
+    import gc
+    import weakref
+
+    tool = Drdesync(lib)
+    refs = []
+    for _ in range(5):
+        module = pipeline3(lib)
+        refs.append(weakref.ref(module))
+        tool.run(module)
+    del module
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True] * 4 + [False]
+    results = tool.engine.results
+    assert len(results) == 5
+    assert all(not result.artifacts for result in results[:-1])
+    assert all(set(result.records) == set(DESYNC_STAGES) for result in results)
+    assert engine_stats(results)["runs"] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +349,7 @@ def test_stage_cpu_time_in_records_journal_and_report(lib, tmp_path):
 
 #: (CACHE_SCHEMA, digest of the layouts of every class the cached flows
 #: pickle); see test_layout_stamp_covers_every_pickled_class
-RECORDED_LAYOUTS = ("2", "c78ee393f79db7bf")
+RECORDED_LAYOUTS = ("3", "a6ba06f7bf8fd867")
 
 
 def _hint_text(hint) -> str:
@@ -329,8 +363,11 @@ def _hint_text(hint) -> str:
 def _layout_of(cls, attributes) -> str:
     """One pickled class's layout: its bases and its typed fields.
 
-    ``attributes`` are the instance attributes seen pickled, which are
-    the layout of a plain class.
+    ``attributes`` are what was seen pickled: for a plain class its
+    instance attributes, for a class with its own ``__reduce__`` the
+    reconstructor and the format constant that opens the state it
+    emits (see the collector in
+    ``test_layout_stamp_covers_every_pickled_class``).
     """
     if issubclass(cls, enum.Enum):
         fields = [repr(member.value) for member in cls]
@@ -369,7 +406,15 @@ def test_layout_stamp_covers_every_pickled_class(lib, tmp_path, monkeypatch):
     class Collector(pickle.Pickler):
         def reducer_override(self, obj):
             attributes = seen.setdefault(type(obj), set())
-            if hasattr(obj, "__dict__"):
+            if "__reduce__" in vars(type(obj)):
+                # stamped by what it emits, not by its attributes: a
+                # new layout of its state must come with a new format
+                rebuild, state = obj.__reduce__()[:2]
+                attributes.add(
+                    f"{rebuild.__module__}.{rebuild.__qualname__}"
+                    f"/{state[0]}"
+                )
+            elif hasattr(obj, "__dict__"):
                 attributes.update(vars(obj))
             return NotImplemented
 

@@ -424,3 +424,68 @@ def test_cli_import_loads_only_the_conversion(lib, tmp_path):
                for root in unwanted)
     ]
     assert loaded == []
+
+
+# ---------------------------------------------------------------------------
+# what one conversion process does to its interpreter and its cache dir
+
+
+def test_cli_gc_policy_is_scoped_to_the_run(lib, tmp_path, monkeypatch):
+    """``main`` raises the collector's threshold and freezes the
+    start-up heap for one conversion, then leaves the thresholds, the
+    enabled flag and the freeze count as it found them: after a success
+    and after a flow error alike."""
+    import repro.cli
+
+    src = _write_design(lib, tmp_path)
+    during = []
+    convert = repro.cli._convert
+
+    def spy(*args, **kwargs):
+        during.append((gc.get_threshold()[0], gc.get_freeze_count() > 0))
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(repro.cli, "_convert", spy)
+    before = (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count())
+    assert cli_main([str(src), "--no-cache", "--quiet"]) == 0
+    assert (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()) == before
+    assert during == [(repro.cli.GC_GEN0_THRESHOLD, True)]
+    # a flow error raised inside the policy
+    assert cli_main([str(tmp_path / "missing.v"), "--no-cache",
+                     "--quiet"]) == 2
+    assert (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_cli_cache_evicts_oldest_entries_past_its_bound(lib, tmp_path,
+                                                       monkeypatch):
+    """A convert into a cache filled past the CLI's bound evicts the
+    oldest entries and keeps the ones it has just written."""
+    import os
+
+    import repro.cli
+    from repro.engine import ArtifactCache
+
+    src = _write_design(lib, tmp_path)
+    sized = tmp_path / "sized"
+    _cli_outputs(tmp_path, src, "sized", "--cache-dir", str(sized))
+    run_bytes = ArtifactCache(str(sized)).size_bytes()
+
+    cache_dir = tmp_path / "cache"
+    stale = ArtifactCache(str(cache_dir))
+    old_keys = [f"{n:02d}" + "0" * 62 for n in range(4)]
+    for age, key in enumerate(old_keys):
+        assert stale.put(key, {"blob": b"x" * run_bytes})
+        os.utime(stale._path(key), (1000.0 + age, 1000.0 + age))
+    monkeypatch.setattr(repro.cli, "CACHE_MAX_BYTES", 2 * run_bytes)
+    _outputs, states = _cli_outputs(
+        tmp_path, src, "cold", "--cache-dir", str(cache_dir)
+    )
+    assert set(states.values()) == {"miss"}
+    assert ArtifactCache(str(cache_dir)).size_bytes() <= 2 * run_bytes
+    kept = [key for key in old_keys if os.path.exists(stale._path(key))]
+    assert kept == old_keys[len(old_keys) - len(kept):]  # oldest go first
+    assert len(kept) < len(old_keys)
+    _outputs, states = _cli_outputs(
+        tmp_path, src, "warm", "--cache-dir", str(cache_dir)
+    )
+    assert set(states.values()) == {"hit"}

@@ -170,3 +170,122 @@ def test_check_detects_dangling_reference():
     mod.instances["u1"].pins["Z"] = "ghost"
     problems = mod.check()
     assert any("ghost" in p for p in problems)
+
+
+# ---------------------------------------------------------------------------
+# pickling: the flat state of ``Module.__reduce__``
+
+
+def build_pickle_module():
+    """A module with every feature the flat pickle state must carry."""
+    mod = Module("m")
+    mod.add_port("d", PortDirection.INPUT, msb=3, lsb=0)
+    mod.add_port("q", PortDirection.OUTPUT, msb=0, lsb=1)
+    mod.add_port("y", PortDirection.OUTPUT)
+    # u1's sink pin joins n1 before u2's driver: connect order on the
+    # net differs from instance order
+    mod.add_instance("u1", "INV")
+    mod.connect("u1", "Z", "y")
+    mod.connect("u1", "A", "n1")
+    mod.add_instance("u2", "AND2", {"A": "d[1]", "B": "d[0]", "Z": "n1"})
+    # re-binding A moves it behind Z: pin order differs from A, B, Z
+    mod.connect("u2", "A", "d[2]")
+    tie = mod.constant_net(1).name
+    mod.add_instance("u3", "AND2", {"A": tie, "B": "d[3]", "Z": "q[0]"})
+    mod.instances["u2"].attributes.update(region="R1", size_only=True)
+    mod.assigns.append(("q[1]", "d[2]"))
+    mod.add_net("spare")  # a net with no pins
+    mod.attributes["port_order"] = ["d", "q", "y"]
+    mod.attributes["wire_caps"] = {"n1": 0.5}
+    mod.new_name("n")
+    return mod
+
+
+def _assert_same_module(copy, mod):
+    from repro.netlist.verilog import write_module
+
+    assert copy.check() == []
+    assert copy.name == mod.name
+    assert list(copy.ports.items()) == list(mod.ports.items())
+    assert list(copy.instances) == list(mod.instances)
+    for name, inst in mod.instances.items():
+        other = copy.instances[name]
+        assert other.name == name and other.cell == inst.cell
+        assert list(other.pins.items()) == list(inst.pins.items())
+        assert other.attributes == inst.attributes
+    assert list(copy.nets) == list(mod.nets)
+    for name, net in mod.nets.items():
+        other = copy.nets[name]
+        assert other.name == name
+        assert list(other.connections) == list(net.connections)
+        assert all(type(ref) is PinRef for ref in other.connections)
+        assert (other.is_constant, other.constant_value) == (
+            net.is_constant, net.constant_value
+        )
+    assert copy.assigns == mod.assigns
+    assert copy.attributes == mod.attributes
+    assert write_module(copy) == write_module(mod)
+    # a loaded module starts a fresh dirty log, as a clone does
+    assert (copy.mutation_count, copy.wire_stamp, copy.dirty_token) == (0, 0, 0)
+    assert copy.new_name("n") == mod.new_name("n")
+
+
+def test_module_pickle_round_trip_hand_built():
+    import pickle
+
+    mod = build_pickle_module()
+    assert mod.check() == []
+    assert list(mod.instances["u2"].pins) == ["B", "Z", "A"]
+    assert list(mod.nets["n1"].connections) == [
+        PinRef("u1", "A"), PinRef("u2", "Z")
+    ]
+    copy = pickle.loads(pickle.dumps(mod, protocol=pickle.HIGHEST_PROTOCOL))
+    assert copy.nets["spare"].connections == {}
+    assert copy.nets["__const1__"].is_constant
+    assert PinRef(None, "d[0]") in copy.nets["d[0]"].connections
+    _assert_same_module(copy, mod)
+
+
+def test_module_pickle_round_trip_reduced_dlx():
+    import pickle
+
+    from repro.designs.dlx import dlx_core
+    from repro.liberty import core9_hs
+
+    mod = dlx_core(core9_hs(), registers=8, multiplier=False, width=16)
+    copy = pickle.loads(pickle.dumps(mod, protocol=pickle.HIGHEST_PROTOCOL))
+    _assert_same_module(copy, mod)
+
+
+def test_module_pickles_no_netlist_objects():
+    """The state is containers, strings and ints: not one ``Net``,
+    ``Instance``, ``PinRef`` or ``Port`` object goes through the
+    pickler."""
+    import io
+    import pickle
+
+    from repro.netlist.core import Instance, Net, Port
+
+    seen = set()
+
+    class Spy(pickle.Pickler):
+        def reducer_override(self, obj):
+            seen.add(type(obj))
+            return NotImplemented
+
+    Spy(io.BytesIO(), pickle.HIGHEST_PROTOCOL).dump(build_pickle_module())
+    assert Module in seen
+    assert not seen & {Net, Instance, PinRef, Port}
+
+
+def test_module_state_of_another_format_is_refused():
+    import pickle
+
+    from repro.netlist.core import MODULE_STATE_FORMAT
+
+    blob = pickle.dumps(build_pickle_module())
+    stale = blob.replace(MODULE_STATE_FORMAT.encode(), b"flat-0")
+    with pytest.raises(NetlistError, match="flat-0"):
+        pickle.loads(stale)
+    with pytest.raises((EOFError, pickle.UnpicklingError)):
+        pickle.loads(blob[: len(blob) // 2])
