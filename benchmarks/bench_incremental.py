@@ -25,13 +25,11 @@ below ``MIN_SPEEDUP`` (20x) the benchmark fails outright.
 Run directly (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_incremental.py [OUT_DIR]
-        [--check BASELINE_JSON] [--history FILE] [--repeats N]
+        [--check BASELINE_JSON] [--repeats N]
 
 ``--check`` gates the fresh speedup through
 :func:`repro.obs.bench.check_regression` against a committed baseline
-``BENCH_incr.json`` (>25% drop fails; with enough ``--history`` points
-the median/MAD statistical band takes over).  ``--history`` appends
-the stamped result to the append-only store after the gate.
+``BENCH_incr.json`` (a >25% drop fails).
 """
 
 import argparse
@@ -55,7 +53,6 @@ from repro.netlist.verilog import write_module  # noqa: E402
 from repro.obs import bench as obs_bench  # noqa: E402
 
 MIN_SPEEDUP = 20.0  # hard floor from the acceptance criteria
-REGRESSION_TOLERANCE = 0.25  # fail when speedup drops >25% vs baseline
 
 SWAP_FROM = "AND2X1"
 SWAP_TO = "AND2X4"
@@ -181,24 +178,14 @@ def run_bench(repeats=3):
     return bench
 
 
-def check_regression(bench, baseline_path, history_path=None):
+def check_regression(bench, baseline_path):
     with open(baseline_path) as handle:
         baseline = json.load(handle)
-    base = obs_bench.baseline_metrics(baseline) or {
-        "speedup": baseline["speedup"]
-    }
-    history = (
-        obs_bench.load_history(history_path, "incremental_reflow")
-        if history_path
-        else None
-    )
     report = obs_bench.check_regression(
         bench["metrics"],
-        base,
+        obs_bench.baseline_metrics(baseline),
         name="incremental_reflow",
-        tolerance=REGRESSION_TOLERANCE,
         floors={"speedup": MIN_SPEEDUP},
-        history=history,
     )
     print(report.render())
     return report.exit_code()
@@ -215,12 +202,6 @@ def main(argv=None):
         "--check",
         metavar="BASELINE_JSON",
         help="fail when the speedup regresses >25%% vs this baseline",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="FILE",
-        help="append-only history store: consulted for the statistical "
-        "gate, then appended to after the run",
     )
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
@@ -246,13 +227,9 @@ def main(argv=None):
     )
     print(f"wrote {out_file}")
 
-    status = 0
     if args.check:
-        status = check_regression(bench, args.check, args.history)
-    if args.history:
-        obs_bench.append_history(bench, args.history)
-        print(f"recorded incremental_reflow -> {args.history}")
-    return status
+        return check_regression(bench, args.check)
+    return 0
 
 
 if __name__ == "__main__":

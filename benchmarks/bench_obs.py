@@ -2,25 +2,22 @@
 
 Three questions: (1) what does enabled tracing plus metrics cost on a
 real conversion, (2) what does the per-phase profile of a traced DLX
-desynchronization look like, and (3) what does the *disabled* profiler
-path cost on the warm flow?
+desynchronization look like, and (3) what does an enabled profiler
+capture on the reduced DLX flow, and what does its machinery cost?
 
 The tracing+metrics cost is timed over interleaved disabled/enabled
 pairs (arm order alternating, a fresh design per conversion, a
 collected heap before each timed run) and reported as each arm's
 median and quartiles; it is recorded, not gated.
 
-The profiler gate uses the PR-7 telemetry methodology: paired
-alternating rounds between two arms that differ only in the profiling
-machinery state, each arm summarized by its minimum wall time (OS
-noise is additive, the min isolates the intrinsic cost).  The
-"disabled" arm runs inside an explicit context carrying a disabled
-profiler -- the per-stage and per-event enabled checks on a context
-entered by the caller -- and must stay within 2% of the plain default
-arm.
+The disabled profiler path is not timed: the default context already
+carries a disabled profiler, so an A/B against an explicitly entered
+disabled one compares a path with itself.  That a disabled profiler
+captures nothing is checked in ``tests/test_perf_observatory.py``.
 
-Emits ``obs_profile.txt`` plus ``obs_overhead.json`` (stamped with the
-unified ``repro-bench/v1`` schema) under ``benchmarks/results/``.
+Emits ``obs_profile.txt``, ``obs_overhead.json`` and
+``obs_profiler_overhead.json`` (stamped with the ``repro-bench/v1``
+schema) under ``benchmarks/results/``.
 """
 
 import gc
@@ -36,16 +33,12 @@ from repro.obs import (
     MetricsRegistry,
     Profiler,
     Tracer,
-    bench as obs_bench,
     phase_times,
     profile_report,
     summary_report,
     use,
 )
 
-#: acceptance ceiling for the profiler's disabled-path cost
-PROFILER_MAX_DISABLED_OVERHEAD_PCT = 2.0
-PROFILER_AB_ROUNDS = 8
 #: interleaved disabled/enabled pairs behind the tracing+metrics cost
 OVERHEAD_PAIRS = 10
 
@@ -133,47 +126,12 @@ def test_obs_overhead_and_profile(benchmark, hs_library, dlx_factory):
     )
 
 
-def test_profiler_disabled_overhead(benchmark, hs_library, dlx_factory):
-    """The profiler's disabled path costs <= 2% on the warm DLX flow.
-
-    Paired alternating rounds (PR-7 telemetry methodology): the
-    "scoped" arm runs inside ``use(Context(profiler=Profiler(enabled=
-    False)))`` -- exercising the per-stage/per-event enabled checks on
-    a context the caller entered -- against the plain default arm.
-    Arm order swaps every round (drift in either direction hits both
-    arms equally) and each timed run starts from a collected heap, so
-    min-vs-min isolates the intrinsic cost.
-    """
+def test_enabled_profiler_overhead_estimate(
+    benchmark, hs_library, dlx_factory
+):
+    """An enabled profiler gives every engine stage a hot table, and
+    its machinery overhead estimate lands in the report footers."""
     kwargs = dict(registers=8, multiplier=False, width=16)
-
-    # warm-up so both arms see hot generation/flow caches alike
-    _convert(hs_library, dlx_factory(**kwargs))
-
-    def timed_run(samples):
-        gc.collect()
-        start = time.perf_counter()
-        _convert(hs_library, dlx_factory(**kwargs))
-        samples.append(time.perf_counter() - start)
-
-    plain, scoped = [], []
-    disabled = Context(profiler=Profiler(enabled=False))
-    for round_ in range(PROFILER_AB_ROUNDS):
-        arms = ["plain", "scoped"]
-        if round_ % 2:
-            arms.reverse()
-        for arm in arms:
-            if arm == "plain":
-                timed_run(plain)
-            else:
-                with use(disabled):
-                    timed_run(scoped)
-
-    disabled_overhead_pct = round(
-        100.0 * (min(scoped) - min(plain)) / min(plain), 2
-    )
-
-    # one enabled run for the record: every stage gets a hot table and
-    # the machinery overhead estimate lands in the summary footer
     profiler = Profiler(enabled=True)
     with use(Context(profiler=profiler)):
         start = time.perf_counter()
@@ -193,32 +151,13 @@ def test_profiler_disabled_overhead(benchmark, hs_library, dlx_factory):
     payload = {
         "bench": "obs_profiler",
         "design": "dlx_small",
-        "ab_rounds": PROFILER_AB_ROUNDS,
-        "plain_min_s": round(min(plain), 4),
-        "scoped_disabled_min_s": round(min(scoped), 4),
-        "disabled_overhead_pct": disabled_overhead_pct,
         "profiled_s": round(profiled_s, 4),
         "profiled_stages": len(profiler),
         "machinery_overhead_s": round(estimate["machinery_s"], 6),
-        "max_disabled_overhead_pct": PROFILER_MAX_DISABLED_OVERHEAD_PCT,
     }
     stamp_result(
         payload,
         "obs_profiler",
-        {"disabled_overhead_pct": disabled_overhead_pct},
+        {"machinery_overhead_pct": round(100.0 * estimate["fraction"], 3)},
     )
     emit_json("obs_profiler_overhead", payload)
-
-    gate = obs_bench.check_regression(
-        payload["metrics"],
-        name="obs_profiler",
-        ceilings={
-            "disabled_overhead_pct": PROFILER_MAX_DISABLED_OVERHEAD_PCT
-        },
-        lower_is_better=("disabled_overhead_pct",),
-    )
-    print(gate.render())
-    assert gate.ok, (
-        f"profiler disabled path costs {disabled_overhead_pct:+.2f}% "
-        f"(ceiling {PROFILER_MAX_DISABLED_OVERHEAD_PCT}%)"
-    )

@@ -33,12 +33,10 @@ wall time on a shared host.
 Run directly (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py [OUT_DIR]
-        [--history FILE]
 
 The converts run the ``repro`` package this script imports, so
 ``PYTHONPATH=../old/src`` measures an older checkout's tree.  Writes
-``BENCH_scaling.json`` into ``OUT_DIR``; ``--history`` appends the
-stamped result to the append-only store after the gate.
+``BENCH_scaling.json`` into ``OUT_DIR``.
 """
 
 import argparse
@@ -292,11 +290,6 @@ def main(argv=None):
         nargs="?",
         default=os.path.join(os.path.dirname(__file__), "results"),
     )
-    parser.add_argument(
-        "--history",
-        metavar="FILE",
-        help="append the stamped result to this append-only store",
-    )
     args = parser.parse_args(argv)
     import repro
     from repro.obs import bench as obs_bench
@@ -360,15 +353,9 @@ def main(argv=None):
     print(f"wrote {out_path}")
 
     report = obs_bench.check_regression(
-        metrics,
-        name="scaling",
-        ceilings=ceilings,
-        lower_is_better=tuple(metrics),
+        metrics, name="scaling", ceilings=ceilings
     )
     print(report.render())
-    if args.history:
-        obs_bench.append_history(payload, args.history)
-        print(f"recorded scaling -> {args.history}")
     return report.exit_code()
 
 

@@ -18,11 +18,10 @@ uploads them.
 Run directly (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_service.py [OUT_DIR]
-        [--min-speedup X] [--workers N] [--history FILE]
+        [--min-speedup X] [--workers N]
 
 The speedup floor goes through the shared
-:func:`repro.obs.bench.check_regression` gate; ``--history`` appends
-the stamped result to the append-only store after the gate.
+:func:`repro.obs.bench.check_regression` gate.
 """
 
 import argparse
@@ -77,11 +76,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--min-speedup", type=float, default=MIN_SPEEDUP)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--history",
-        metavar="FILE",
-        help="append the stamped result to this append-only store",
-    )
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -176,9 +170,6 @@ def main(argv=None) -> int:
         floors={"speedup": args.min_speedup},
     )
     print(report.render())
-    if args.history:
-        obs_bench.append_history(payload, args.history)
-        print(f"recorded service -> {args.history}")
 
     failures = []
     if not report.ok:

@@ -27,13 +27,11 @@ backends see the same machine, so the ratio survives CI-runner noise.
 Run directly (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_sta_engine.py [OUT_DIR]
-        [--check BASELINE_JSON] [--history FILE] [--repeats N]
+        [--check BASELINE_JSON] [--repeats N]
 
 ``--check`` gates the fresh combined speedup through
 :func:`repro.obs.bench.check_regression` against a committed baseline
-``BENCH_sta.json`` (>25% drop fails; with enough ``--history`` points
-the median/MAD statistical band takes over).  ``--history`` appends
-the stamped result to the append-only store after the gate.
+``BENCH_sta.json`` (a >25% drop fails).
 """
 
 import argparse
@@ -64,7 +62,6 @@ from repro.sta import (  # noqa: E402
 CLOCK_PERIOD = 12.0
 LADDER_LEVELS = 100
 ECO_ITERATIONS = 6
-REGRESSION_TOLERANCE = 0.25  # fail when speedup drops >25% vs baseline
 
 
 def _eco_nets(module):
@@ -197,8 +194,11 @@ def run_bench(repeats=3):
 
     best = {}
     signatures = {}
-    for backend in ("reference", "compiled"):
-        for _ in range(repeats):
+    for index in range(repeats):
+        # interleave the backends, first one then the other, so a drift
+        # in host speed over the run reaches both minimums alike
+        order = ("reference", "compiled")
+        for backend in order if index % 2 == 0 else reversed(order):
             timings, signature = run_workload(
                 golden, result, library, backend
             )
@@ -257,23 +257,13 @@ def run_bench(repeats=3):
     return bench
 
 
-def check_regression(bench, baseline_path, history_path=None):
+def check_regression(bench, baseline_path):
     with open(baseline_path) as handle:
         baseline = json.load(handle)
-    base = obs_bench.baseline_metrics(baseline) or {
-        "combined_speedup": baseline["speedup"]["combined"]
-    }
-    history = (
-        obs_bench.load_history(history_path, "sta_engine")
-        if history_path
-        else None
-    )
     report = obs_bench.check_regression(
         bench["metrics"],
-        base,
+        obs_bench.baseline_metrics(baseline),
         name="sta_engine",
-        tolerance=REGRESSION_TOLERANCE,
-        history=history,
     )
     print(report.render())
     return report.exit_code()
@@ -290,12 +280,6 @@ def main(argv=None):
         "--check",
         metavar="BASELINE_JSON",
         help="fail when combined speedup regresses >25%% vs this baseline",
-    )
-    parser.add_argument(
-        "--history",
-        metavar="FILE",
-        help="append-only history store: consulted for the statistical "
-        "gate, then appended to after the run",
     )
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
@@ -320,13 +304,9 @@ def main(argv=None):
     )
     print(f"wrote {out_file}")
 
-    status = 0
     if args.check:
-        status = check_regression(bench, args.check, args.history)
-    if args.history:
-        obs_bench.append_history(bench, args.history)
-        print(f"recorded sta_engine -> {args.history}")
-    return status
+        return check_regression(bench, args.check)
+    return 0
 
 
 if __name__ == "__main__":

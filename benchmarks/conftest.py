@@ -39,10 +39,6 @@ CACHE_DIR = os.environ.get(
 )
 
 
-#: the append-only history store the ``repro bench`` verbs default to
-HISTORY_PATH = os.path.join(RESULTS_DIR, "history.jsonl")
-
-
 def emit(name: str, text: str) -> None:
     """Print a reproduced table and persist it under benchmarks/results."""
     print()
@@ -61,13 +57,8 @@ def stamp_result(payload: dict, name: str, metrics: dict) -> dict:
     )
 
 
-def emit_json(name: str, payload: dict, record: bool = False) -> str:
-    """Write a stamped benchmark payload under ``benchmarks/results``.
-
-    ``record=True`` (or ``REPRO_BENCH_RECORD=1``) also appends the
-    result to the shared append-only history store so the statistical
-    regression detector accumulates points.
-    """
+def emit_json(name: str, payload: dict) -> str:
+    """Write a stamped benchmark payload under ``benchmarks/results``."""
     if "metrics" not in payload:
         raise ValueError(f"{name}: stamp_result() the payload first")
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -75,8 +66,6 @@ def emit_json(name: str, payload: dict, record: bool = False) -> str:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if record or os.environ.get("REPRO_BENCH_RECORD") == "1":
-        obs_bench.append_history(payload, HISTORY_PATH)
     return path
 
 

@@ -7,7 +7,6 @@ Usage::
     drdesync serve  [--port 8642] [--workers N] ...   # job daemon
     drdesync submit DESIGN [--wait] [--url URL] ...   # client verbs
     drdesync status [JOB_ID] [--url URL]
-    drdesync bench  record|compare|report ...         # benchmark history
     drdesync design.v -o out.v --sdc out.sdc [--blif out.blif]
              [--library hs|ll | --liberty file.lib]
              [--group auto|single] [--false-path NET ...]
@@ -577,11 +576,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .service.cli import service_main
 
         return service_main(argv)
-    if argv and argv[0] == "bench":
-        # benchmark history verbs: record / compare / report
-        from .obs.bench import bench_main
-
-        return bench_main(argv[1:])
     parser = build_argument_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,10 +6,10 @@ gauges and fixed-bucket histograms (:mod:`repro.obs.metrics`), an
 opt-in per-stage profiler with cProfile + tracemalloc capture
 (:mod:`repro.obs.prof`), the per-run :class:`Context` that bundles
 the three and is installed per thread (:mod:`repro.obs.context`), the
-unified benchmark-result schema, history store and statistical
-regression detector (:mod:`repro.obs.bench`), the exporters that turn
-them into Chrome trace-event JSON / speedscope profiles / text reports
-/ ``metrics.json`` (:mod:`repro.obs.export`), and the ``logging``
+benchmark-result schema and the regression check the perf gates share
+(:mod:`repro.obs.bench`), the exporters that turn them into Chrome
+trace-event JSON / speedscope profiles / text reports /
+``metrics.json`` (:mod:`repro.obs.export`), and the ``logging``
 configuration for the ``repro`` logger hierarchy
 (:mod:`repro.obs.logsetup`).
 
@@ -28,7 +28,7 @@ near-zero-cost in that state; the CLI's ``--trace`` / ``--metrics`` /
 
 The submodules load on first use (``from repro.obs import metrics``, or
 any name below), so a conversion that only counts and traces never
-imports the exporters or the benchmark store.
+imports the exporters or the benchmark schema.
 """
 
 import importlib
@@ -36,7 +36,6 @@ from typing import Any
 
 #: public name -> the submodule that defines it
 _EXPORTS = {
-    "BenchResult": "bench",
     "check_regression": "bench",
     "machine_metadata": "bench",
     "Context": "context",

@@ -171,6 +171,8 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert cli_main(["x.v", "--group", "bogus"]) == 1
     # the engine runs stages on the calling thread: no pool to size
     assert cli_main(["x.v", "--jobs", "2"]) == 1
+    # "bench" is no verb: it parses as an input with a stray argument
+    assert cli_main(["bench", "report"]) == 1
     err = capsys.readouterr().err
     assert "usage:" in err
 

@@ -3,11 +3,10 @@
 Covers the tentpole and its satellites: the opt-in per-stage profiler
 (disabled no-op, capture, thread-scoped attribution, bounded
 retention), engine integration, the speedscope / collapsed-stack
-exporters, sim-kernel introspection counters, the unified
-``repro-bench/v1`` schema with machine metadata, the append-only
-history store, the statistical regression detector (legacy
-bit-identical arithmetic, MAD bands, floors/ceilings), the ``repro
-bench`` CLI verbs, and the profiled-service-job HTTP round trip.
+exporters, sim-kernel introspection counters, the ``repro-bench/v1``
+schema with machine metadata, the regression check (baseline-ratio
+arithmetic, floors/ceilings), and the profiled-service-job HTTP round
+trip.
 """
 
 import json
@@ -363,7 +362,7 @@ def test_simulator_reports_counters_into_active_stage():
 
 
 # ---------------------------------------------------------------------------
-# Unified bench schema: metadata, stamping, history store
+# Bench schema: metadata and stamping
 # ---------------------------------------------------------------------------
 
 def test_machine_metadata_keys():
@@ -388,64 +387,23 @@ def test_stamp_upgrades_legacy_payload_in_place():
     assert "git_rev" in payload["meta"]
 
 
-def test_bench_result_round_trips():
-    result = obs_bench.BenchResult(
-        name="unit", metrics={"r": 2.0}, detail={"note": "hi"}
-    )
-    payload = result.to_dict()
-    assert payload["schema"] == obs_bench.SCHEMA
-    again = obs_bench.BenchResult.from_dict(payload)
-    assert again.name == "unit"
-    assert again.metrics == {"r": 2.0}
-    assert again.detail == {"note": "hi"}
-
-
-def test_history_append_load_and_torn_line(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    assert obs_bench.load_history(path) == []
-    for value in (1.0, 2.0, 3.0):
-        obs_bench.append_history(
-            {"name": "unit", "metrics": {"r": value}}, path
-        )
-    obs_bench.append_history({"name": "other", "metrics": {"r": 9.0}}, path)
-    with open(path, "a") as handle:
-        handle.write('{"torn": ')  # a crashed append mid-write
-    entries = obs_bench.load_history(path, "unit")
-    assert len(entries) == 3
-    assert obs_bench.metric_history(entries, "r") == [1.0, 2.0, 3.0]
-    assert obs_bench.metric_history(entries, "r", last=2) == [2.0, 3.0]
-    assert obs_bench.metric_history(entries, "missing") == []
-    assert len(obs_bench.load_history(path)) == 4
-
-
-def test_history_requires_metrics_block(tmp_path):
-    with pytest.raises(ValueError):
-        obs_bench.append_history(
-            {"name": "legacy"}, str(tmp_path / "h.jsonl")
-        )
-
-
 def test_structured_metric_values_are_unwrapped():
-    # the {"value": x, "unit": ...} form must gate like a plain scalar,
-    # and non-quantities (bools, notes) must be skipped, not crash
+    # a committed baseline gates on its plain numbers; non-quantities
+    # (bools, notes) are skipped, not crashed on
     payload = {
         "name": "unit",
         "metrics": {
-            "speedup": {"value": 3.1, "unit": "x"},
-            "ratio": 2.0,
-            "as_text": "4.5",
+            "speedup": 3.1,
+            "stages": 7,
             "converged": True,
             "note": "warm cache",
         },
     }
     gateable = obs_bench.baseline_metrics(payload)
-    assert gateable == {"speedup": 3.1, "ratio": 2.0, "as_text": 4.5}
-    history = obs_bench.metric_history([payload, payload], "speedup")
-    assert history == [3.1, 3.1]
-    assert obs_bench.metric_history([payload], "converged") == []
-    report = obs_bench.check_regression(
-        gateable, {"speedup": 3.0, "ratio": 2.0, "as_text": 4.5}, name="unit"
-    )
+    assert gateable == {"speedup": 3.1, "stages": 7.0}
+    with pytest.raises(ValueError):
+        obs_bench.baseline_metrics({"bench": "no metrics block"})
+    report = obs_bench.check_regression(gateable, gateable, name="unit")
     assert report.ok
 
 
@@ -456,33 +414,14 @@ def test_structured_metric_values_are_unwrapped():
 def test_legacy_gate_arithmetic_is_bit_identical():
     # the hand-rolled gates used strict '<' against base * (1 - tol):
     # landing exactly on the bound passes
-    report = obs_bench.check_regression(
-        {"speedup": 3.0}, {"speedup": 4.0}, tolerance=0.25
-    )
+    report = obs_bench.check_regression({"speedup": 3.0}, {"speedup": 4.0})
     assert report.ok
     assert report.checks[0].kind == "ratio"
     report = obs_bench.check_regression(
-        {"speedup": 2.999999}, {"speedup": 4.0}, tolerance=0.25
+        {"speedup": 2.999999}, {"speedup": 4.0}
     )
     assert not report.ok
     assert report.exit_code() == 1
-
-
-def test_legacy_gate_lower_is_better_flips_direction():
-    ok = obs_bench.check_regression(
-        {"overhead_pct": 5.0},
-        {"overhead_pct": 4.0},
-        tolerance=0.25,
-        lower_is_better=("overhead_pct",),
-    )
-    assert ok.ok  # 5.0 == 4.0 * 1.25 exactly -> passes (strict '>')
-    bad = obs_bench.check_regression(
-        {"overhead_pct": 5.01},
-        {"overhead_pct": 4.0},
-        tolerance=0.25,
-        lower_is_better=("overhead_pct",),
-    )
-    assert not bad.ok
 
 
 def test_floors_and_ceilings_are_absolute():
@@ -499,64 +438,6 @@ def test_floors_and_ceilings_are_absolute():
     assert report.ok and not report.checks
 
 
-def test_statistical_mode_flags_a_thirty_percent_slowdown():
-    history = [
-        {"name": "unit", "metrics": {"speedup": v}}
-        for v in (10.0, 10.2, 9.9, 10.1, 10.0)
-    ]
-    report = obs_bench.check_regression(
-        {"speedup": 7.0},  # -30% vs the ~10.0 median
-        {"speedup": 10.0},
-        history=history,
-    )
-    assert not report.ok
-    assert report.checks[0].kind == "statistical"
-    assert report.checks[0].reference == pytest.approx(10.0)
-
-
-def test_statistical_mode_accepts_five_consecutive_baseline_reruns(tmp_path):
-    """Re-running the committed baseline never trips the detector."""
-    path = str(tmp_path / "history.jsonl")
-    values = (10.0, 10.2, 9.9, 10.1, 10.0)
-    for value in values:
-        obs_bench.append_history(
-            {"name": "unit", "metrics": {"speedup": value}}, path
-        )
-    for rerun in values:  # 5 consecutive re-runs of in-family values
-        history = obs_bench.load_history(path, "unit")
-        report = obs_bench.check_regression(
-            {"speedup": rerun}, {"speedup": 10.0}, history=history
-        )
-        assert report.ok, report.render()
-        obs_bench.append_history(
-            {"name": "unit", "metrics": {"speedup": rerun}}, path
-        )
-
-
-def test_statistical_band_floors_at_min_rel_band_on_flat_history():
-    # MAD of a dead-flat history is 0; the band must not be a hair trigger
-    history = [
-        {"name": "unit", "metrics": {"speedup": 10.0}} for _ in range(6)
-    ]
-    report = obs_bench.check_regression(
-        {"speedup": 9.6}, {"speedup": 10.0}, history=history
-    )
-    assert report.ok  # within the 5% min_rel_band floor
-    report = obs_bench.check_regression(
-        {"speedup": 9.4}, {"speedup": 10.0}, history=history
-    )
-    assert not report.ok
-
-
-def test_short_history_falls_back_to_legacy_gate():
-    history = [{"name": "unit", "metrics": {"speedup": 10.0}}] * 3
-    report = obs_bench.check_regression(
-        {"speedup": 9.0}, {"speedup": 10.0}, history=history
-    )
-    assert report.checks[0].kind == "ratio"
-    assert report.ok
-
-
 def test_report_render_shape():
     report = obs_bench.check_regression(
         {"speedup": 9.0}, {"speedup": 10.0}, name="unit"
@@ -566,81 +447,6 @@ def test_report_render_shape():
     assert "[ok] speedup:" in text
     empty = obs_bench.check_regression({}, name="unit")
     assert "(no gated metrics)" in empty.render()
-
-
-# ---------------------------------------------------------------------------
-# The ``repro bench`` CLI verbs
-# ---------------------------------------------------------------------------
-
-def _write_result(tmp_path, name, value, filename=None):
-    payload = obs_bench.stamp(
-        {"bench": name}, name, {"speedup": value}
-    )
-    path = str(tmp_path / (filename or f"{name}.json"))
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-    return path
-
-
-def test_bench_record_and_compare_verbs(tmp_path, capsys):
-    history = str(tmp_path / "history.jsonl")
-    fresh = _write_result(tmp_path, "unit", 10.0)
-    assert obs_bench.bench_main(
-        ["record", fresh, "--history", history]
-    ) == 0
-    assert len(obs_bench.load_history(history)) == 1
-
-    baseline = _write_result(tmp_path, "unit", 10.0, "baseline.json")
-    assert obs_bench.bench_main(
-        ["compare", fresh, "--baseline", baseline, "--history", history]
-    ) == 0
-    regressed = _write_result(tmp_path, "unit", 2.0, "regressed.json")
-    assert obs_bench.bench_main(
-        ["compare", regressed, "--baseline", baseline, "--history", history]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "regression check: unit" in out
-    assert "[FAIL] speedup:" in out
-
-
-def test_bench_compare_without_baseline_gates_against_itself(tmp_path):
-    fresh = _write_result(tmp_path, "unit", 10.0)
-    assert obs_bench.bench_main(
-        ["compare", fresh, "--history", str(tmp_path / "none.jsonl")]
-    ) == 0
-
-
-def test_bench_record_rejects_legacy_payload(tmp_path, capsys):
-    path = str(tmp_path / "legacy.json")
-    with open(path, "w") as handle:
-        json.dump({"bench": "legacy", "speedup": {"combined": 2}}, handle)
-    assert obs_bench.bench_main(["record", path]) == 1
-    assert "no 'metrics' block" in capsys.readouterr().err
-
-
-def test_bench_report_writes_trend_html(tmp_path):
-    history = str(tmp_path / "history.jsonl")
-    for value in (1.0, 2.0, 3.0):
-        obs_bench.append_history(
-            {"name": "unit", "metrics": {"speedup": value}, "meta": {}},
-            history,
-        )
-    out = str(tmp_path / "trend.html")
-    assert obs_bench.bench_main(
-        ["report", "--history", history, "--out", out]
-    ) == 0
-    document = open(out).read()
-    assert "<svg" in document and "polyline" in document
-    assert "unit" in document and "speedup" in document
-    empty = obs_bench.trend_report_html([])
-    assert "empty history" in empty
-
-
-def test_cli_routes_bench_verb(tmp_path, capsys):
-    fresh = _write_result(tmp_path, "unit", 10.0)
-    history = str(tmp_path / "history.jsonl")
-    assert cli_main(["bench", "record", fresh, "--history", history]) == 0
-    assert "recorded unit" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
