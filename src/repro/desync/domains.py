@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..liberty.gatefile import Gatefile
-from ..netlist.core import Module, PortDirection, driver_of
+from ..netlist.core import Module, PortDirection
+from ..netlist.index import ConnectivityIndex, connectivity_index
 
 
 @dataclass
@@ -50,8 +51,8 @@ def _clock_root(
     module: Module,
     gatefile: Gatefile,
     net_name: str,
+    index: ConnectivityIndex,
     max_hops: int = 50,
-    index=None,
 ) -> Optional[str]:
     """Trace a clock net back to its root port through buffers/gates."""
     current = net_name
@@ -59,10 +60,7 @@ def _clock_root(
     for _ in range(max_hops):
         if current in port_bits:
             return current
-        if index is not None:
-            ref = index.driver_of(current)
-        else:
-            ref = driver_of(module, current, gatefile)
+        ref = index.driver_of(current)
         if ref is None:
             return current  # internally generated (e.g. divided) clock
         if ref.instance is None:
@@ -84,12 +82,10 @@ def _clock_root(
 
 def analyze_clock_domains(module: Module, gatefile: Gatefile) -> ClockDomains:
     """Partition sequential elements by clock root."""
-    from ..netlist.index import ConnectivityIndex
-
     result = ClockDomains()
-    # one shared index: every flip-flop on a clock tree re-traces the
-    # same buffer chain, so the driver lookups repeat heavily
-    index = ConnectivityIndex(module, gatefile)
+    # every flip-flop on a clock tree re-traces the same buffer chain,
+    # so the driver lookups repeat heavily
+    index = connectivity_index(module, gatefile)
     for name, inst in module.instances.items():
         info = gatefile.cells.get(inst.cell)
         if info is None or not info.is_sequential:
@@ -101,7 +97,7 @@ def analyze_clock_domains(module: Module, gatefile: Gatefile) -> ClockDomains:
         if clock_net is None:
             result.unresolved.add(name)
             continue
-        root = _clock_root(module, gatefile, clock_net, index=index)
+        root = _clock_root(module, gatefile, clock_net, index)
         if root is None:
             result.unresolved.add(name)
             continue

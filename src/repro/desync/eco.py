@@ -110,21 +110,18 @@ def _extend_element(
     chooser: GateChooser,
     element: DelayElement,
     extra_levels: int,
-    cell_info=None,
+    cell_info,
 ) -> None:
     """Splice ``extra_levels`` AND stages just before the element output.
 
     ECO style: the existing output net keeps its name (and its sink, the
     controller RI pin); the old final stage now feeds the spliced chain.
     """
-    from ..liberty.gatefile import build_gatefile
-    from ..netlist.index import ConnectivityIndex
+    from ..netlist.index import connectivity_index
 
-    if cell_info is None:
-        cell_info = build_gatefile(chooser.library)
     and_cell, and_pins, and_out = chooser.gate("and2")
     out_net = element.output_net
-    driver_ref = ConnectivityIndex(module, cell_info).driver_of(out_net)
+    driver_ref = connectivity_index(module, cell_info).driver_of(out_net)
     if driver_ref is None or driver_ref.instance is None:
         raise ValueError(f"delay element output {out_net!r} has no driver")
     driver_inst, driver_pin = driver_ref.instance, driver_ref.pin
@@ -179,9 +176,6 @@ def eco_calibrate(
     chooser = chooser or GateChooser(library)
     report = EcoReport()
 
-    from ..liberty.gatefile import build_gatefile
-
-    cell_info = build_gatefile(library)
     clouds = region_delays(
         module, library, desync_result.region_map, corner, backend=backend
     )
@@ -206,7 +200,9 @@ def eco_calibrate(
             )
             missing = required - actual
             extra = max(1, int(missing / level_delay) + 1)
-            _extend_element(module, chooser, element, extra, cell_info)
+            _extend_element(
+                module, chooser, element, extra, desync_result.gatefile
+            )
         report.changes.append(
             EcoChange(
                 region=region,

@@ -341,9 +341,9 @@ def _drop_orphan_clock_gates(
     module: Module, gatefile: Gatefile, result: SubstitutionResult
 ) -> None:
     """Remove integrated clock gates whose outputs no longer drive pins."""
-    from ..netlist.index import ConnectivityIndex
+    from ..netlist.index import connectivity_index
 
-    index = ConnectivityIndex(module, gatefile)
+    index = connectivity_index(module, gatefile)
     for name in list(result.removed_clock_gates):
         inst = module.instances.get(name)
         if inst is None:

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..liberty.gatefile import Gatefile
 from ..netlist.core import Module, PortDirection, bus_base
-from ..netlist.index import ConnectivityIndex
+from ..netlist.index import connectivity_index
 from ..obs import metrics, trace
 
 #: histogram buckets for region sizes (instances per region)
@@ -82,51 +82,69 @@ class GroupingError(Exception):
 
 
 class _Connectivity:
-    """Pre-computed data-connection maps, heuristics applied."""
+    """Data-connection queries of one pass, heuristics applied.
+
+    A lazy view over the module's shared :class:`ConnectivityIndex`:
+    drivers and readers of a net are derived on first use and kept for
+    the pass, so a full grouping pays for every net once and an
+    incremental cone check only for the nets it touches.  Sources,
+    targets and bus partners come in the order an eager walk over
+    ``module.nets`` would give them: step 2 of the grouping follows
+    assignment order.  The module must not change during the pass.
+    """
 
     def __init__(
         self,
         module: Module,
         gatefile: Gatefile,
         false_path_nets: Iterable[str] = (),
-        index: Optional[ConnectivityIndex] = None,
     ):
         self.module = module
         self.gatefile = gatefile
-        #: shared driver/sink cache; reusable across passes on the same
-        #: (unmutated) module
-        self.index = index if index is not None else ConnectivityIndex(
-            module, gatefile
-        )
-        ignored = set(false_path_nets)
-        #: net -> driving instances / reading instances (data pins only)
-        self.drivers: Dict[str, List[str]] = {}
-        self.readers: Dict[str, List[str]] = {}
-        for net_name, net in module.nets.items():
-            if net.is_constant or net_name in ignored:
-                continue
-            driver_refs, sink_refs = self.index.connections_of(net_name)
-            for ref in driver_refs:
-                if ref.instance is not None:
-                    self.drivers.setdefault(net_name, []).append(ref.instance)
-            for ref in sink_refs:
-                if ref.instance is None:
-                    continue
-                info = gatefile.info(module.instances[ref.instance].cell)
-                pin = info.pins.get(ref.pin)
-                if pin is None or pin.is_clock:
-                    continue
-                self.readers.setdefault(net_name, []).append(ref.instance)
+        self.index = connectivity_index(module, gatefile)
+        self.ignored = set(false_path_nets)
+        #: net -> (driving, reading) instances, data pins only
+        self._nets: Dict[str, Tuple[List[str], List[str]]] = {}
+        #: instance -> True when combinational
+        self._comb: Dict[str, bool] = {}
+        #: bus base -> its bit nets in module order, built in one pass
+        self._bus_nets: Optional[Dict[str, List[str]]] = None
         #: bus base -> all driver instances of any bit
-        self.bus_drivers: Dict[str, Set[str]] = {}
-        for net_name, drivers in self.drivers.items():
-            base = bus_base(net_name)
-            if base is not None:
-                self.bus_drivers.setdefault(base, set()).update(drivers)
+        self._bus_drivers: Dict[str, Set[str]] = {}
+
+    def _net(self, net_name: str) -> Tuple[List[str], List[str]]:
+        entry = self._nets.get(net_name)
+        if entry is None:
+            drivers: List[str] = []
+            readers: List[str] = []
+            net = self.module.nets.get(net_name)
+            if net is not None and not net.is_constant and (
+                net_name not in self.ignored
+            ):
+                driver_refs, sink_refs = self.index.connections_of(net_name)
+                drivers = [
+                    ref.instance for ref in driver_refs
+                    if ref.instance is not None
+                ]
+                instances = self.module.instances
+                for ref in sink_refs:
+                    if ref.instance is None:
+                        continue
+                    info = self.gatefile.info(instances[ref.instance].cell)
+                    pin = info.pins.get(ref.pin)
+                    if pin is None or pin.is_clock:
+                        continue
+                    readers.append(ref.instance)
+            entry = self._nets[net_name] = (drivers, readers)
+        return entry
 
     def is_comb(self, instance: str) -> bool:
-        cell = self.module.instances[instance].cell
-        return not self.gatefile.info(cell).is_sequential
+        comb = self._comb.get(instance)
+        if comb is None:
+            cell = self.module.instances[instance].cell
+            comb = not self.gatefile.info(cell).is_sequential
+            self._comb[instance] = comb
+        return comb
 
     def input_nets(self, instance: str) -> List[str]:
         inst = self.module.instances[instance]
@@ -152,126 +170,41 @@ class _Connectivity:
     def comb_sources(self, instance: str) -> List[str]:
         out: List[str] = []
         for net in self.input_nets(instance):
-            out.extend(d for d in self.drivers.get(net, []) if self.is_comb(d))
-        return out
-
-    def all_sources(self, instance: str) -> List[str]:
-        out: List[str] = []
-        for net in self.input_nets(instance):
-            out.extend(self.drivers.get(net, []))
+            out.extend(d for d in self._net(net)[0] if self.is_comb(d))
         return out
 
     def targets(self, instance: str) -> List[str]:
         out: List[str] = []
         for net in self.output_nets(instance):
-            out.extend(self.readers.get(net, []))
+            out.extend(self._net(net)[1])
         return out
 
     def sequential_targets(self, instance: str) -> List[str]:
         return [t for t in self.targets(instance) if not self.is_comb(t)]
+
+    def _bus_members(self, base: str) -> Set[str]:
+        members = self._bus_drivers.get(base)
+        if members is None:
+            if self._bus_nets is None:
+                self._bus_nets = {}
+                for net_name in self.module.nets:
+                    net_base = bus_base(net_name)
+                    if net_base is not None:
+                        self._bus_nets.setdefault(net_base, []).append(
+                            net_name
+                        )
+            members = set()
+            for net_name in self._bus_nets.get(base, ()):
+                members.update(self._net(net_name)[0])
+            self._bus_drivers[base] = members
+        return members
 
     def target_bus_drivers(self, instance: str) -> Set[str]:
         out: Set[str] = set()
         for net in self.output_nets(instance):
             base = bus_base(net)
             if base is not None:
-                out.update(self.bus_drivers.get(base, set()))
-        return out
-
-
-class _LocalConnectivity:
-    """Lazy, per-net slice of :class:`_Connectivity`.
-
-    :class:`_Connectivity` precomputes driver/reader maps for *every*
-    net -- the right trade for a full grouping pass, far too expensive
-    for an incremental cone check that touches a handful of nets.  This
-    variant answers the same queries (identical classification and
-    ordering) through the :class:`ConnectivityIndex`, computing only
-    what the caller asks for.
-    """
-
-    def __init__(
-        self,
-        module: Module,
-        gatefile: Gatefile,
-        false_path_nets: Iterable[str] = (),
-        index: Optional[ConnectivityIndex] = None,
-    ):
-        self.module = module
-        self.gatefile = gatefile
-        self.index = index if index is not None else ConnectivityIndex(
-            module, gatefile
-        )
-        self.ignored = set(false_path_nets)
-        self._bus_memo: Dict[str, Set[str]] = {}
-
-    def _live(self, net_name: str) -> bool:
-        net = self.module.nets.get(net_name)
-        return net is not None and not net.is_constant and (
-            net_name not in self.ignored
-        )
-
-    def drivers(self, net_name: str) -> List[str]:
-        if not self._live(net_name):
-            return []
-        return [
-            ref.instance
-            for ref in self.index.connections_of(net_name)[0]
-            if ref.instance is not None
-        ]
-
-    def readers(self, net_name: str) -> List[str]:
-        if not self._live(net_name):
-            return []
-        out: List[str] = []
-        for ref in self.index.connections_of(net_name)[1]:
-            if ref.instance is None:
-                continue
-            info = self.gatefile.info(
-                self.module.instances[ref.instance].cell
-            )
-            pin = info.pins.get(ref.pin)
-            if pin is None or pin.is_clock:
-                continue
-            out.append(ref.instance)
-        return out
-
-    is_comb = _Connectivity.is_comb
-    input_nets = _Connectivity.input_nets
-    output_nets = _Connectivity.output_nets
-
-    def comb_sources(self, instance: str) -> List[str]:
-        out: List[str] = []
-        for net in self.input_nets(instance):
-            out.extend(d for d in self.drivers(net) if self.is_comb(d))
-        return out
-
-    def targets(self, instance: str) -> List[str]:
-        out: List[str] = []
-        for net in self.output_nets(instance):
-            out.extend(self.readers(net))
-        return out
-
-    def sequential_targets(self, instance: str) -> List[str]:
-        return [t for t in self.targets(instance) if not self.is_comb(t)]
-
-    def target_bus_drivers(self, instance: str) -> Set[str]:
-        out: Set[str] = set()
-        for net in self.output_nets(instance):
-            base = bus_base(net)
-            if base is None:
-                continue
-            members = self._bus_memo.get(base)
-            if members is None:
-                # classify every bit of the bus through the index,
-                # skipping ignored/constant bits like _Connectivity
-                members = set()
-                for net_name in self.module.nets:
-                    if bus_base(net_name) != base:
-                        continue
-                    members.update(self.drivers(net_name))
-                self._bus_memo[base] = members
-            out.update(members)
+                out.update(self._bus_members(base))
         return out
 
 
@@ -298,7 +231,7 @@ def regroup_incremental(
     swaps within a drive-strength family, wire re-annotation), region
     membership cannot change -- but rather than trusting the caller,
     this recomputes the grouping relations *incident to the dirty
-    cells* through a lazy connectivity slice and checks they are
+    cells* through the lazy connectivity view and checks they are
     consistent with the cached partition:
 
     - a dirty combinational cell must share its region with every
@@ -313,7 +246,7 @@ def regroup_incremental(
     grouping algorithm.  Only sound for connectivity-preserving edits;
     structural edits must go straight to :func:`group_regions`.
     """
-    conn = _LocalConnectivity(module, gatefile, false_path_nets)
+    conn = _Connectivity(module, gatefile, false_path_nets)
     cells = sorted(set(dirty_cells))
     with trace.span("regroup_incremental", dirty=len(cells)) as span:
         for cell in cells:
@@ -361,43 +294,64 @@ def validate_independence_for(
     """:func:`validate_independence`, scoped to the given regions.
 
     Checks every combinational connection incident to a member of
-    ``regions`` (both directions: a member driving out and an outside
-    cell driving in are the same edge, so walking members' targets
-    covers inbound violations via the source's own membership when the
-    source is also in scope; the inbound direction is covered by
-    walking members' combinational *sources* too).  Used by the
-    incremental flow to re-verify only the edit's membership cone.
+    ``regions``, in both directions: a member driving out of its region
+    and an outside cell driving in.  Used by the incremental flow to
+    re-verify only the edit's membership cone.
     """
     wanted = set(regions)
-    conn = _LocalConnectivity(module, gatefile, false_path_nets)
-    problems: List[str] = []
+    members = [
+        (instance, name)
+        for name in sorted(wanted)
+        if name in region_map.regions
+        for instance in sorted(region_map.regions[name].instances)
+    ]
     with trace.span("validate_independence_for", regions=len(wanted)) as span:
-        for region_name in sorted(wanted):
-            region = region_map.regions.get(region_name)
-            if region is None:
-                continue
-            for instance in sorted(region.instances):
-                if not conn.is_comb(instance):
-                    continue
-                for target in conn.targets(instance):
-                    if not conn.is_comb(target):
-                        continue
-                    target_region = region_map.region_of(target)
-                    if target_region != region_name:
-                        problems.append(
-                            f"comb connection {instance} ({region_name}) -> "
-                            f"{target} ({target_region})"
-                        )
-                for source in conn.comb_sources(instance):
-                    source_region = region_map.region_of(source)
-                    if source_region != region_name and (
-                        source_region not in wanted
-                    ):
-                        problems.append(
-                            f"comb connection {source} ({source_region}) -> "
-                            f"{instance} ({region_name})"
-                        )
+        problems = _crossings(
+            module, gatefile, region_map, members, wanted, false_path_nets
+        )
         span.set("violations", len(problems))
+    return problems
+
+
+def _crossings(
+    module: Module,
+    gatefile: Gatefile,
+    region_map: RegionMap,
+    members: List[Tuple[str, Optional[str]]],
+    scope: Optional[Set[str]],
+    false_path_nets: Iterable[str],
+) -> List[str]:
+    """Combinational connections crossing a region boundary at ``members``.
+
+    ``members`` are the walked ``(instance, region)`` pairs, in report
+    order.  Each crossing is reported from its source; when only the
+    regions in ``scope`` are walked, a crossing whose source lies
+    outside them is reported from its target.  ``scope=None`` walks
+    every instance, so every source is walked too.
+    """
+    conn = _Connectivity(module, gatefile, false_path_nets)
+    problems: List[str] = []
+    for instance, region in members:
+        if not conn.is_comb(instance):
+            continue
+        for target in conn.targets(instance):
+            if not conn.is_comb(target):
+                continue
+            target_region = region_map.region_of(target)
+            if target_region != region:
+                problems.append(
+                    f"comb connection {instance} ({region}) -> "
+                    f"{target} ({target_region})"
+                )
+        if scope is None:
+            continue
+        for source in conn.comb_sources(instance):
+            source_region = region_map.region_of(source)
+            if source_region != region and source_region not in scope:
+                problems.append(
+                    f"comb connection {source} ({source_region}) -> "
+                    f"{instance} ({region})"
+                )
     return problems
 
 
@@ -532,23 +486,15 @@ def validate_independence(
 
     Returns a list of violation descriptions (empty when regions are
     independent, the precondition of the basic desynchronization
-    methodology).
+    methodology), in module instance order.
     """
     with trace.span("validate_independence", regions=len(region_map)) as span:
-        conn = _Connectivity(module, gatefile, false_path_nets)
-        problems: List[str] = []
-        for instance in module.instances:
-            if not conn.is_comb(instance):
-                continue
-            source_region = region_map.region_of(instance)
-            for target in conn.targets(instance):
-                if not conn.is_comb(target):
-                    continue
-                target_region = region_map.region_of(target)
-                if source_region != target_region:
-                    problems.append(
-                        f"comb connection {instance} ({source_region}) -> "
-                        f"{target} ({target_region})"
-                    )
+        members = [
+            (instance, region_map.region_of(instance))
+            for instance in module.instances
+        ]
+        problems = _crossings(
+            module, gatefile, region_map, members, None, false_path_nets
+        )
         span.set("violations", len(problems))
     return problems

@@ -141,7 +141,7 @@ def simplify_names(module: Module) -> int:
                 for c in net.connections
             }
         # connections were rewritten directly, bypassing the mutation
-        # hooks: any live ConnectivityIndex must drop its cache
+        # hooks: the module's connectivity index must drop its cache
         module.invalidate_indexes()
     return renames + len(renamed)
 
@@ -198,9 +198,9 @@ def remove_inverter_pairs(
     sink, and neither intermediate nor final net may be a port bit.
     ``cell_info`` provides pin directions for sink counting.
     """
-    from .index import ConnectivityIndex
+    from .index import connectivity_index
 
-    index = ConnectivityIndex(module, cell_info)
+    index = connectivity_index(module, cell_info)
     port_bits = set(module.port_bits())
     protected = set(protected_nets or ())
     removed = 0

@@ -208,11 +208,6 @@ class Module:
         #: checks.  Code that rewrites ``Net.connections`` directly must
         #: call :meth:`invalidate_indexes`.
         self._mutations = 0
-        #: bumped by :meth:`note_wire_annotation` -- wire-load rewrites
-        #: are *not* connectivity mutations (STA fingerprints hash the
-        #: annotation content separately) but still invalidate derived
-        #: timing classifications.
-        self._wire_annotations = 0
         #: monotonic event counter behind :attr:`dirty_token`; every
         #: dirty-log record carries its sequence number.
         self._dirty_events = 0
@@ -226,11 +221,6 @@ class Module:
     def mutation_count(self) -> int:
         """Monotonic counter of connectivity mutations."""
         return self._mutations
-
-    @property
-    def wire_stamp(self) -> int:
-        """Monotonic counter of wire-annotation rewrites."""
-        return self._wire_annotations
 
     @property
     def dirty_token(self) -> int:
@@ -282,13 +272,12 @@ class Module:
     def note_wire_annotation(self, nets: Iterable[str]) -> None:
         """Record that wire-load annotations of ``nets`` were rewritten.
 
-        Bumps :attr:`wire_stamp` (not :attr:`mutation_count`: the STA
-        caches fingerprint annotation *content* and must not see a
-        phantom connectivity mutation) and logs per-net ``"wire"`` dirty
-        events so connectivity/timing consumers can invalidate
-        selectively.
+        Logs per-net ``"wire"`` dirty events so connectivity/timing
+        consumers can invalidate selectively.  Leaves
+        :attr:`mutation_count` alone: the STA caches fingerprint
+        annotation *content* and must not see a phantom connectivity
+        mutation.
         """
-        self._wire_annotations += 1
         for net in nets:
             self._note_dirty("wire", net)
 
@@ -589,7 +578,6 @@ class Module:
         self.attributes = other.attributes
         self._uid = other._uid
         self._mutations += 1
-        self._wire_annotations += 1
         self._note_dirty(_DIRTY_ALL, "")
 
     def __repr__(self) -> str:

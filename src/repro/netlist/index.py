@@ -17,15 +17,22 @@ sets, dropping only the stale entries.  When the answer is unknowable
 (log overflow, ``copy_from``, ``invalidate_indexes``) it falls back to
 a full clear.  Code that rewrites ``Net.connections`` directly (e.g.
 the name-cleaning pass) must call ``Module.invalidate_indexes()``.
+
+Passes get their index from :func:`connectivity_index`, which keeps one
+per (module, cell-info provider) pair for as long as the module lives,
+so logic cleaning, grouping, the independence check, clock-domain
+tracing, flip-flop substitution, the ECO and the simulators share one
+classification instead of each paying for its own.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs import metrics
-from .core import CellInfoProvider, Module, PinRef, PortDirection, bus_base
+from .core import CellInfoProvider, Module, PinRef, PortDirection
 
 
 class ConnectivityIndex:
@@ -37,10 +44,12 @@ class ConnectivityIndex:
     bits, both in net connection order; inout pins are neither.
     """
 
-    __slots__ = ("module", "cell_info", "_token", "_nets", "hits", "misses")
+    __slots__ = ("_module_ref", "cell_info", "_token", "_nets", "hits", "misses")
 
     def __init__(self, module: Module, cell_info: CellInfoProvider):
-        self.module = module
+        # held weakly: the memo of connectivity_index keys on the module,
+        # so a strong reference from its value would keep it alive
+        self._module_ref = weakref.ref(module)
         self.cell_info = cell_info
         self._token = module.dirty_token
         #: net -> (drivers, sinks), both in connection order
@@ -48,8 +57,12 @@ class ConnectivityIndex:
         self.hits = 0
         self.misses = 0
 
+    @property
+    def module(self) -> Module:
+        return self._module_ref()
+
     # ------------------------------------------------------------------
-    def _refresh(self) -> None:
+    def _refresh(self, module: Module) -> None:
         """Drop entries invalidated since the last query.
 
         Selective when the module's dirty log covers the gap (only the
@@ -57,10 +70,10 @@ class ConnectivityIndex:
         timing classification without touching pin lists -- are
         evicted); a full clear otherwise.
         """
-        token = self.module.dirty_token
+        token = module.dirty_token
         if token == self._token:
             return
-        dirty = self.module.dirty_since(self._token)
+        dirty = module.dirty_since(self._token)
         self._token = token
         if dirty is None:
             if self._nets:
@@ -79,21 +92,23 @@ class ConnectivityIndex:
 
     def connections_of(self, net_name: str) -> Tuple[List[PinRef], List[PinRef]]:
         """``(drivers, sinks)`` of a net; the lists are owned by the index."""
-        self._refresh()
+        module = self._module_ref()
+        self._refresh(module)
         entry = self._nets.get(net_name)
         if entry is not None:
             self.hits += 1
             return entry
         self.misses += 1
         metrics.counter("netlist.index.misses").inc()
-        entry = self._classify(net_name)
+        entry = self._classify(module, net_name)
         self._nets[net_name] = entry
         return entry
 
-    def _classify(self, net_name: str) -> Tuple[List[PinRef], List[PinRef]]:
+    def _classify(
+        self, module: Module, net_name: str
+    ) -> Tuple[List[PinRef], List[PinRef]]:
         from .core import _port_of_bit
 
-        module = self.module
         net = module.nets.get(net_name)
         drivers: List[PinRef] = []
         sinks: List[PinRef] = []
@@ -125,28 +140,10 @@ class ConnectivityIndex:
         drivers, _ = self.connections_of(net_name)
         return drivers[0] if drivers else None
 
-    def drivers_of(self, net_name: str) -> List[PinRef]:
-        """Every driving pin (multi-driver nets keep all of them)."""
-        drivers, _ = self.connections_of(net_name)
-        return list(drivers)
-
     def sinks_of(self, net_name: str) -> List[PinRef]:
         """Every reading pin of ``net_name`` (``sinks_of`` semantics)."""
         _, sinks = self.connections_of(net_name)
         return list(sinks)
-
-    def bus_driver_instances(self, base: str) -> List[str]:
-        """Instances driving any bit of bus ``base`` (grouping heuristic)."""
-        out: List[str] = []
-        seen = set()
-        for net_name in self.module.nets:
-            if bus_base(net_name) != base:
-                continue
-            for ref in self.connections_of(net_name)[0]:
-                if ref.instance is not None and ref.instance not in seen:
-                    seen.add(ref.instance)
-                    out.append(ref.instance)
-        return out
 
     # ------------------------------------------------------------------
     def topo_order(self, sources: Iterable[str] = ()) -> List[str]:
@@ -199,9 +196,29 @@ class ConnectivityIndex:
         metrics.counter("netlist.index.topo_orders").inc()
         return result
 
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "cached_nets": len(self._nets),
-        }
+
+#: module -> {cell-info provider: the module's index under it}
+_INDEXES: "weakref.WeakKeyDictionary[Module, Dict]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def connectivity_index(
+    module: Module, cell_info: CellInfoProvider
+) -> ConnectivityIndex:
+    """The one :class:`ConnectivityIndex` of ``module`` under ``cell_info``.
+
+    Every call for the same pair returns the same index until the
+    module is freed (the memo holds it weakly); the dirty log keeps the
+    index fresh across the edits made between passes.  Providers are
+    dict keys, so one built afresh per call shares an entry only if it
+    compares equal to the last.  A clone is a new module with an index
+    of its own.
+    """
+    indexes = _INDEXES.get(module)
+    if indexes is None:
+        indexes = _INDEXES[module] = {}
+    index = indexes.get(cell_info)
+    if index is None:
+        index = indexes[cell_info] = ConnectivityIndex(module, cell_info)
+    return index

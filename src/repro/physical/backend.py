@@ -98,6 +98,8 @@ def in_place_optimize(
                 bigger = _upsize(inst.cell, library)
                 if bigger is not None:
                     inst.cell = bigger
+                    # logged, so the next pass's loads see the new pin caps
+                    module.note_cell_change(inst.name)
                     fixed_this_pass += 1
                     break
                 if inst.attributes.get("size_only"):

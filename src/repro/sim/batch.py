@@ -46,7 +46,7 @@ from ..liberty.functions import (
 )
 from ..liberty.model import CellKind, Library
 from ..netlist.core import Module, PortDirection
-from ..netlist.index import ConnectivityIndex
+from ..netlist.index import connectivity_index
 from ..obs import metrics, prof
 from .simulator import SimulationError, Simulator, Value
 
@@ -59,13 +59,24 @@ class _LibraryCellInfo:
 
     ``ConnectivityIndex`` classifies pins through ``pin_direction``;
     the gate-level netlist file implements it, a bare :class:`Library`
-    does not, so the batch simulator bridges the two.
+    does not, so the batch simulator bridges the two.  Adapters of one
+    library compare equal, so the one built per simulator shares the
+    module's memoised index.
     """
 
     __slots__ = ("library",)
 
     def __init__(self, library: Library):
         self.library = library
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _LibraryCellInfo)
+            and other.library is self.library
+        )
+
+    def __hash__(self) -> int:
+        return id(self.library)
 
     def pin_direction(self, cell: str, pin: str) -> Optional[PortDirection]:
         library_cell = self.library.cells.get(cell)
@@ -338,7 +349,7 @@ class BatchSimulator:
                 comb_models[inst.name] = model
 
         sources = [name for name, m in self._models.items() if name not in comb_models]
-        index = ConnectivityIndex(module, _LibraryCellInfo(library))
+        index = connectivity_index(module, _LibraryCellInfo(library))
         try:
             order = index.topo_order(sources)
         except ValueError as exc:

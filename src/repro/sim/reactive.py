@@ -42,18 +42,18 @@ def _port_bit_regions(module: Module, region_map, gatefile) -> Dict[str, str]:
     owning those latches.  We trace backwards through combinational
     cells until a sequential element is reached.
     """
-    from ..netlist.index import ConnectivityIndex
+    from ..netlist.index import connectivity_index
 
     out: Dict[str, str] = {}
     # the traces from different port bits overlap heavily in the shared
     # combinational cone, so one index serves every bit
-    index = ConnectivityIndex(module, gatefile)
+    index = connectivity_index(module, gatefile)
     for port in module.ports.values():
         if port.direction != PortDirection.OUTPUT:
             continue
         for bit in port.bit_names():
             region = _trace_sequential_region(
-                module, region_map, gatefile, bit, index=index
+                module, region_map, gatefile, bit, index
             )
             if region is not None:
                 out[bit] = region
@@ -65,19 +65,14 @@ def _trace_sequential_region(
     region_map,
     gatefile,
     net_name: str,
+    index,
     max_cells: int = 500,
-    index=None,
 ) -> Optional[str]:
-    from ..netlist.core import driver_of
-
     seen = set()
     frontier = [net_name]
     while frontier and len(seen) < max_cells:
         net = frontier.pop()
-        if index is not None:
-            ref = index.driver_of(net)
-        else:
-            ref = driver_of(module, net, gatefile)
+        ref = index.driver_of(net)
         if ref is None or ref.instance is None or ref.instance in seen:
             continue
         seen.add(ref.instance)

@@ -24,8 +24,7 @@ every propagation question from those arrays:
 
 The graphs are cached per module in a :class:`weakref` map keyed by
 (library identity, disables, instance filter, view) and invalidated by
-the module mutation stamp -- the :class:`repro.netlist.index.
-ConnectivityIndex` pattern -- plus a fingerprint of the wire-annotation
+the module mutation stamp plus a fingerprint of the wire-annotation
 dicts, which mutate without bumping the stamp.
 
 The dict-based path in :mod:`repro.sta.analysis` survives untouched as
@@ -976,8 +975,8 @@ def annotate_wires(
         else:
             module.attributes[attr].update(annotation)
     if touched:
-        # dirty-log the re-annotation (wire_stamp, not mutation_count:
-        # the fingerprints below hash annotation content separately)
+        # dirty-log the re-annotation (no mutation_count bump: the
+        # fingerprints below hash annotation content separately)
         module.note_wire_annotation(sorted(touched))
 
     variants = _MODULE_CACHE.get(module)

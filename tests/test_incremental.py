@@ -28,7 +28,7 @@ from repro.designs import dlx_core, pipeline3
 from repro.liberty import core9_hs
 from repro.liberty.gatefile import build_gatefile
 from repro.netlist import Module, PortDirection
-from repro.netlist.index import ConnectivityIndex
+from repro.netlist.index import ConnectivityIndex, connectivity_index
 from repro.netlist.verilog import write_module
 
 LIB = core9_hs()
@@ -258,6 +258,23 @@ def test_set_constant_falls_back_to_deep(pipe_session):
     )
     assert outcome.path == "deep"
     _assert_parity(pipe_session, outcome, f"(const {net})")
+
+
+def test_repeat_resize_reclassifies_only_the_swapped_nets(pipe_session):
+    target = _pick(pipe_session, "XOR2X1")
+    snapshot = pipe_session._snap_ffsub
+    index = connectivity_index(snapshot, pipe_session.tool.gatefile)
+    for cell in ("XOR2X2", "XOR2X1"):
+        outcome = pipe_session.apply(
+            NetlistEdit("swap_cell", instance=target, cell=cell)
+        )
+        assert outcome.path == "splice"
+    misses = index.misses
+    pipe_session.apply(NetlistEdit("swap_cell", instance=target,
+                                   cell="XOR2X2"))
+    assert connectivity_index(snapshot, pipe_session.tool.gatefile) is index
+    swapped = set(snapshot.instances[target].pins.values())
+    assert 0 < index.misses - misses <= len(swapped)
 
 
 def test_edits_chain_across_applies(pipe_session):

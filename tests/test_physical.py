@@ -17,6 +17,7 @@ from repro.physical import (
     total_wirelength,
 )
 from repro.sta import analyze, compute_net_loads
+from repro.sta.graph import _compute_net_loads
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,9 @@ def test_ipo_fixes_max_cap_violation(lib):
     assert mod.instances["drv"].cell != "INVX1" or any(
         name.startswith("ipo_buf") for name in mod.instances
     )
+    # an upsize loads the driver's input net more: the per-module load
+    # cache that later passes and STA read must see the rebind
+    assert compute_net_loads(mod, lib) == _compute_net_loads(mod, lib)
 
 
 def test_ipo_respects_dont_touch(lib):
