@@ -142,8 +142,7 @@ def test_fig_5_4_variability_distribution(benchmark, hs_library):
     lines.append("")
     lines.append(
         "simulation-backed study (64-lane batch kernel, "
-        f"{int(sim_study.sim_stats['chips'])} dies gate-level, "
-        f"{sim_study.sim_stats['chips_per_second']:.0f} chips/s):"
+        f"{int(sim_study.sim_stats['chips'])} dies gate-level):"
     )
     lines.append(
         f"  fraction faster {sim_study.fraction_desync_faster*100:5.1f}%, "

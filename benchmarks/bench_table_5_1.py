@@ -12,8 +12,11 @@ desynchronization stages (including the STA-characterised delay
 ladder) and P&R all cache under ``.repro_cache/``, and the benchmark
 re-runs the whole comparison warm to verify the cache actually short
 circuits the flow -- the journal (``results/table_5_1_journal.jsonl``)
-records the hits, and ``results/engine-stats.json`` keeps the stage
-timings and hit rate for the perf trajectory.
+records the hits, and ``results/engine-stats.json`` keeps the cold and
+warm seconds, the stage timings and the hit rate.  The result text
+holds no wall-clock figure, so it regenerates byte-identical; CI's
+``perf-gate`` job runs this bench on an empty cache and gates
+``cold_s / warm_s >= 2`` from ``engine-stats.json``.
 """
 
 import os
@@ -70,7 +73,6 @@ def test_table_5_1_dlx_area(benchmark, hs_library, dlx_factory, make_engine):
     table = run_once(benchmark, run)
     cold_time = time.perf_counter() - start
     cold_events = engine.journal.select("stage_end")
-    cold_misses = sum(1 for e in cold_events if e.get("cache") == "miss")
 
     # -- warm re-run: same cache, fresh modules ------------------------
     start = time.perf_counter()
@@ -85,14 +87,8 @@ def test_table_5_1_dlx_area(benchmark, hs_library, dlx_factory, make_engine):
             f"{sorted(warm_hits)}"
         )
     assert warm_table.phases == table.phases, "cache must not change results"
-    if cold_misses > 0:
-        # only meaningful when the first run actually executed stages
-        assert warm_time * 2 <= cold_time, (
-            f"warm run ({warm_time:.2f}s) should be >=2x faster than "
-            f"cold ({cold_time:.2f}s)"
-        )
 
-    stats = write_engine_stats(
+    write_engine_stats(
         os.path.join(RESULTS_DIR, "engine-stats.json"),
         engine.results,
         cache=engine.cache,
@@ -112,11 +108,6 @@ def test_table_5_1_dlx_area(benchmark, hs_library, dlx_factory, make_engine):
             lines.append(
                 f"{name:28s} {sync_v:>14.2f} {desync_v:>14.2f} {ovhd:>8.2f}"
             )
-    lines.append("")
-    lines.append(
-        f"engine: cold {cold_time:.2f}s -> warm {warm_time:.2f}s, "
-        f"cache hit rate {stats['cache']['hit_rate']:.0%}"
-    )
     emit("table_5_1", "\n".join(lines))
 
     synthesis = table.phases["Post Synthesis"]

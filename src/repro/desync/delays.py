@@ -28,7 +28,7 @@ from ..liberty.model import Library
 from ..liberty.techmap import GateChooser
 from ..netlist.core import Module, PortDirection
 from ..obs import metrics, trace
-from ..sta.analysis import propagate
+from ..sta.analysis import check_backend, propagate
 from ..sta.graph import build_timing_graph
 
 #: histogram buckets for delay-element chain lengths (logic levels)
@@ -102,7 +102,6 @@ def characterize_ladder(
     and_cell: str = "AND2X1",
     backend: str = "compiled",
     memoize: bool = True,
-    cache=None,
 ) -> DelayLadder:
     """Measure the rise delay of every chain length with STA.
 
@@ -111,11 +110,11 @@ def characterize_ladder(
     measure their delay values."
 
     Results are memoised in-process per (library content, corner,
-    length, cell); pass an :class:`repro.engine.cache.ArtifactCache` as
-    ``cache`` to also persist them across runs.  With the compiled
-    backend every corner of a ladder family shares one base chain graph
-    via derate rescaling.
+    length, cell); across runs the engine's ``delays`` stage caches the
+    ladder.  With the compiled backend every corner of a ladder family
+    shares one base chain graph via derate rescaling.
     """
+    check_backend(backend)
     key = _ladder_memo_key(library, corner, max_length, and_cell)
     if memoize:
         hit = _LADDER_MEMO.get(key)
@@ -123,13 +122,6 @@ def characterize_ladder(
             metrics.counter("desync.delay.ladder_memo_hits").inc()
             return DelayLadder(hit.library_name, hit.corner,
                                list(hit.rise_delays))
-        if cache is not None:
-            stored = cache.get("ladder:" + "|".join(map(str, key)))
-            if stored is not None:
-                ladder = stored["ladder"]
-                _LADDER_MEMO[key] = ladder
-                return DelayLadder(ladder.library_name, ladder.corner,
-                                   list(ladder.rise_delays))
     with trace.span(
         "delays.characterize", corner=corner, max_length=max_length
     ):
@@ -152,7 +144,7 @@ def characterize_ladder(
         else:
             module = _chain_module(max_length, and_cell)
             graph = build_timing_graph(module, library, corner)
-            report = propagate(graph, backend=backend)
+            report = propagate(graph)
         for stage in range(max_length):
             node = (f"u{stage}", "Z")
             arrival = report.arrivals.get(node)
@@ -161,8 +153,6 @@ def characterize_ladder(
             ladder.rise_delays.append(arrival)
     if memoize:
         _LADDER_MEMO[key] = ladder
-        if cache is not None:
-            cache.put("ladder:" + "|".join(map(str, key)), {"ladder": ladder})
         return DelayLadder(ladder.library_name, ladder.corner,
                            list(ladder.rise_delays))
     return ladder

@@ -52,11 +52,12 @@ def _clock_root(
     gatefile: Gatefile,
     net_name: str,
     index: ConnectivityIndex,
+    port_bits: Set[str],
     max_hops: int = 50,
 ) -> Optional[str]:
-    """Trace a clock net back to its root port through buffers/gates."""
+    """Trace a clock net back to its root port (one of ``port_bits``,
+    the module's input bits) through buffers/gates."""
     current = net_name
-    port_bits = set(module.port_bits(PortDirection.INPUT))
     for _ in range(max_hops):
         if current in port_bits:
             return current
@@ -86,6 +87,7 @@ def analyze_clock_domains(module: Module, gatefile: Gatefile) -> ClockDomains:
     # every flip-flop on a clock tree re-traces the same buffer chain,
     # so the driver lookups repeat heavily
     index = connectivity_index(module, gatefile)
+    port_bits = set(module.port_bits(PortDirection.INPUT))
     for name, inst in module.instances.items():
         info = gatefile.cells.get(inst.cell)
         if info is None or not info.is_sequential:
@@ -97,7 +99,7 @@ def analyze_clock_domains(module: Module, gatefile: Gatefile) -> ClockDomains:
         if clock_net is None:
             result.unresolved.add(name)
             continue
-        root = _clock_root(module, gatefile, clock_net, index)
+        root = _clock_root(module, gatefile, clock_net, index, port_bits)
         if root is None:
             result.unresolved.add(name)
             continue

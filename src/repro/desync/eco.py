@@ -20,8 +20,6 @@ from typing import Dict, List, Optional
 from ..liberty.model import Library
 from ..liberty.techmap import GateChooser
 from ..netlist.core import Module, PinRef
-from ..sta.analysis import propagate
-from ..sta.graph import build_timing_graph
 from .delays import DelayElement
 from .network import region_delays
 

@@ -22,7 +22,7 @@ from ..liberty.model import Library
 from ..liberty.techmap import GateChooser
 from ..netlist.core import Module, PortDirection
 from ..obs import metrics, trace
-from ..sta.analysis import propagate
+from ..sta.analysis import check_backend, propagate
 from ..sta.graph import build_timing_graph
 from .cmuller import build_cmuller
 from .controllers import ControllerInstance, place_controller
@@ -130,6 +130,7 @@ def region_delays(
     backend reuses the module's cached flat graph (shared with
     ``analyze`` and the ECO loop) and rescales it to ``corner``.
     """
+    check_backend(backend)
     if backend == "compiled":
         from ..sta.compiled import compiled_graph
 
@@ -139,7 +140,7 @@ def region_delays(
         capture_items = compiled.capture_items(derate)
     else:
         graph = build_timing_graph(module, library, corner)
-        report = propagate(graph, backend=backend)
+        report = propagate(graph)
         capture_items = list(graph.capture_nodes.items())
     delays: Dict[str, float] = {name: 0.0 for name in region_map.regions}
     for node, setup in capture_items:

@@ -5,9 +5,7 @@ exchanging named artifacts, and runs its stages one at a time on the
 calling thread with content-addressed caching, a structured JSONL run
 journal and graceful degradation (a failed stage skips only its
 dependents).  ``Drdesync``, the ``repro.flow`` implementation flows,
-the CLI and the benchmark harness all run on it.  CPU-bound fan-out
-inside a stage (Monte-Carlo chips, STA corners) goes through the
-process pool of :func:`parallel_map`.
+the CLI and the benchmark harness all run on it.
 
 Typical use::
 
@@ -40,8 +38,7 @@ from .executor import (
 )
 from .graph import FlowGraph, FlowGraphError, Stage
 from .journal import RunJournal, read_journal
-from .pool import PoolItemError, default_jobs, parallel_map
-from .report import engine_stats, render_report, write_engine_stats
+from .report import engine_stats, write_engine_stats
 from .stages import (
     DESYNC_ARTIFACTS,
     desync_stages,
@@ -63,19 +60,15 @@ __all__ = [
     "FlowGraphError",
     "FlowResult",
     "HashError",
-    "PoolItemError",
     "RunJournal",
     "Stage",
     "StageRecord",
     "StageStatus",
-    "default_jobs",
     "desync_stages",
     "engine_stats",
     "generation_stage",
-    "parallel_map",
     "library_fingerprint",
     "read_journal",
-    "render_report",
     "stable_hash",
     "write_engine_stats",
 ]

@@ -9,8 +9,9 @@ Two pieces live here:
   so it is stable across processes and Python hash randomisation --
   which is what lets a disk cache survive between runs.
 - :class:`ArtifactCache` -- a pickle-backed store keyed by stage keys
-  (see :mod:`repro.engine.executor`), with hit/miss accounting and an
-  enabled/disabled switch (the ``--no-cache`` escape hatch).
+  (see :mod:`repro.engine.executor`), with hit/miss accounting.  An
+  engine without one (``cache=None``, the ``--no-cache`` escape hatch)
+  runs every stage.
 
 Every stage key and every fingerprint is seeded with
 :data:`CACHE_SCHEMA`, a hand-bumped constant: bumping it moves every
@@ -326,11 +327,9 @@ class ArtifactCache:
     def __init__(
         self,
         directory: str,
-        enabled: bool = True,
         max_bytes: Optional[int] = None,
     ):
         self.directory = os.path.abspath(directory)
-        self.enabled = enabled
         self.max_bytes = max_bytes
         self.stats = CacheStats()
 
@@ -390,8 +389,6 @@ class ArtifactCache:
     def get_lazy(self, key: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get`, but sidecar artifacts come back as
         :class:`LazyArtifact` handles instead of loaded objects."""
-        if not self.enabled:
-            return None
         manifest = self._load_manifest(key)
         if manifest is None:
             self.stats.misses += 1
@@ -433,9 +430,7 @@ class ArtifactCache:
         return True
 
     def put(self, key: str, value: Dict[str, Any]) -> bool:
-        """Store ``value`` under ``key``; False if unpicklable/disabled."""
-        if not self.enabled:
-            return False
+        """Store ``value`` under ``key``; False if unpicklable."""
         with self._advisory_lock():
             stored = self._put_locked(key, value)
             if stored and self.max_bytes is not None:
@@ -582,6 +577,6 @@ class ArtifactCache:
 
     def __repr__(self) -> str:
         return (
-            f"ArtifactCache({self.directory!r}, enabled={self.enabled}, "
+            f"ArtifactCache({self.directory!r}, "
             f"hits={self.stats.hits}, misses={self.stats.misses})"
         )

@@ -98,7 +98,6 @@ class StageRecord:
     #: seconds ``ArtifactCache.put`` took to store the outputs (0 on a
     #: hit and when the cache is off)
     put: float = 0.0
-    attempts: int = 0
     key: Optional[str] = None
     cache: str = "off"  # "hit" | "miss" | "off"
     error: Optional[BaseException] = None
@@ -195,7 +194,7 @@ class _RunState:
         self.artifacts: ArtifactMap = ArtifactMap(initial)
         self.records: Dict[str, StageRecord] = {}
         self.fingerprints: Dict[str, str] = {}
-        use_cache = engine.cache is not None and engine.cache.enabled
+        use_cache = engine.cache is not None
         # a re-run reuses the first run's root fingerprints: stages may
         # have rewritten the initial module in place since
         self.roots = roots or {
@@ -237,7 +236,7 @@ class _RunState:
             return
 
         cache = self.engine.cache
-        use_cache = cache is not None and cache.enabled and stage.cacheable
+        use_cache = cache is not None
         key = self.stage_key(stage) if use_cache else None
         fingerprint_base = key or f"raw:{self.graph.name}:{stage.name}"
         for artifact in stage.outputs:
@@ -260,7 +259,6 @@ class _RunState:
                     StageStatus.CACHED,
                     key=key,
                     cache="hit",
-                    attempts=0,
                     metrics=_module_metrics(cached),
                 )
                 self._settle(stage, record, outputs=cached)
@@ -292,7 +290,6 @@ class _RunState:
                 StageStatus.FAILED,
                 duration=time.perf_counter() - start,
                 cpu=time.thread_time() - cpu_start,
-                attempts=1,
                 key=key,
                 cache=disposition,
                 error=exc,
@@ -313,7 +310,6 @@ class _RunState:
             duration=duration,
             cpu=cpu,
             put=put,
-            attempts=1,
             key=key,
             cache=disposition,
             metrics=_module_metrics(outputs),
@@ -339,7 +335,6 @@ class _RunState:
                 duration=round(record.duration, 6),
                 cpu=round(record.cpu, 6),
                 put=round(record.put, 6),
-                attempts=record.attempts,
                 cache=record.cache,
                 key=record.key[:12] if record.key else None,
                 error=record.error_text,
@@ -440,9 +435,7 @@ class FlowEngine:
                 run=label,
                 graph=graph.name,
                 stages=len(graph),
-                cache="on"
-                if (self.cache is not None and self.cache.enabled)
-                else "off",
+                cache="on" if self.cache is not None else "off",
             )
         start = time.perf_counter()
         state = _RunState(self, graph, initial, label, roots)

@@ -38,7 +38,6 @@ class Stage:
     outputs: Tuple[str, ...] = ()
     params: Dict[str, Any] = field(default_factory=dict)
     after: Tuple[str, ...] = ()
-    cacheable: bool = True
     version: str = "1"
 
     def call(self, artifacts: Dict[str, Any]) -> Dict[str, Any]:

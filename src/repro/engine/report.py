@@ -1,11 +1,10 @@
-"""Human-readable run reports and machine-readable engine statistics.
+"""Machine-readable engine statistics.
 
-``render_report`` turns one :class:`~repro.engine.executor.FlowResult`
-into the text table an operator reads after a run; ``engine_stats``
-aggregates any number of results (plus the cache counters) into the
-JSON document benchmarks persist as ``engine-stats.json`` so the
-performance trajectory -- stage timings, cache hit rate -- is tracked
-across PRs.
+``engine_stats`` aggregates any number of
+:class:`~repro.engine.executor.FlowResult` runs (plus the cache
+counters) into the JSON document benchmarks persist as
+``engine-stats.json``, so the performance trajectory -- stage timings,
+cache hit rate -- is tracked from change to change.
 """
 
 from __future__ import annotations
@@ -19,40 +18,6 @@ from .executor import FlowResult, StageStatus
 if TYPE_CHECKING:  # the exporters load only when a tracer is passed
     from ..obs.metrics import MetricsRegistry
     from ..obs.trace import Tracer
-
-
-def render_report(result: FlowResult) -> str:
-    """One run as a fixed-width status table."""
-    lines = [
-        f"== flow {result.name!r}: {len(result.records)} stages, "
-        f"{result.wall_time:.3f}s wall ==",
-        f"{'stage':28s} {'status':8s} {'time (s)':>9s} {'cpu (s)':>9s} "
-        f"{'cache':>6s} {'tries':>6s}  detail",
-    ]
-    for record in result.records.values():
-        detail = ""
-        if record.metrics:
-            parts = [
-                f"{key}: {value['cells']} cells"
-                for key, value in record.metrics.items()
-                if isinstance(value, dict) and "cells" in value
-            ]
-            detail = ", ".join(parts)
-        if record.error_text:
-            detail = record.error_text
-        lines.append(
-            f"{record.name:28s} {record.status.value:8s} "
-            f"{record.duration:>9.3f} {record.cpu:>9.3f} {record.cache:>6s} "
-            f"{record.attempts:>6d}  {detail}"
-        )
-    counts = result.summary()
-    cached = counts.get("cached", 0)
-    failed = counts.get("failed", 0)
-    lines.append(
-        f"-- {cached} cached, {failed} failed, "
-        f"{counts.get('skipped', 0)} skipped --"
-    )
-    return "\n".join(lines)
 
 
 def engine_stats(

@@ -4,10 +4,11 @@
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 consumed by ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_:
 one complete (``"ph": "X"``) event per finished span, with timestamps
-in microseconds, plus thread-name metadata so engine worker threads
-are labelled.  Perfetto reconstructs the span tree from the per-thread
-ts/dur nesting, so the exported file shows in-stage spans stacked
-under their engine stage exactly as they ran.
+in microseconds, plus thread-name metadata so each thread (the
+caller's, or the service worker running a job) is labelled.  Perfetto
+reconstructs the span tree from the per-thread ts/dur nesting, so the
+exported file shows in-stage spans stacked under their engine stage
+exactly as they ran.
 
 ``summary_report`` renders the aggregated tree as text (the poor
 operator's flame graph), with a footer admitting bounded-retention

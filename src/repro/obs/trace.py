@@ -11,10 +11,10 @@ pass, a single STA propagation -- opened as a context manager::
 
 Spans nest: each thread keeps its own span stack, so a span opened
 while another is active on the same thread becomes its child, while
-spans opened on engine worker threads become roots of their thread's
-subtree.  Finished spans accumulate on the tracer and are exported by
-:mod:`repro.obs.export` as Chrome trace-event JSON (chrome://tracing,
-Perfetto) or a plain-text summary.
+spans opened on another thread (a service worker running its job)
+become roots of their thread's subtree.  Finished spans accumulate on
+the tracer and are exported by :mod:`repro.obs.export` as Chrome
+trace-event JSON (chrome://tracing, Perfetto) or a plain-text summary.
 
 The module-level :func:`span` records into the tracer of the current
 :class:`repro.obs.context.Context`.  Tracing is **disabled by default**

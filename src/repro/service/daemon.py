@@ -54,6 +54,15 @@ STAGE_SECONDS_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1, 2, 5, 15, 60, 300,
 )
 
+#: live eco sessions kept per daemon, LRU (a session pins four
+#: netlists -- the input copy, two timed snapshots and the result --
+#: plus warm STA graphs; an evicted session is rebuilt from its job
+#: chain on demand)
+ECO_SESSIONS = 4
+
+#: per-stage profiles a ``profile`` job's profiler retains
+MAX_PROFILE_STAGES = 512
+
 #: ``# HELP`` strings for the daemon's own metric families
 _METRIC_HELP = {
     "service.jobs.submitted": "jobs accepted by the daemon",
@@ -89,8 +98,6 @@ class ServiceDaemon:
         registry: Optional[MetricsRegistry] = None,
         max_trace_spans: int = 5000,
         max_traces: int = 256,
-        max_profile_stages: int = 512,
-        eco_sessions: int = 4,
     ):
         self.run_dir = os.path.abspath(run_dir)
         os.makedirs(self.run_dir, exist_ok=True)
@@ -116,19 +123,14 @@ class ServiceDaemon:
         self._libraries: Dict[str, Any] = {}
         self._closed = False
         # eco support: live IncrementalSession per completed job, LRU
-        # bounded (a session pins four netlists -- the input copy, two
-        # timed snapshots and the result -- plus warm STA graphs; a
-        # handful is plenty; evicted sessions are rebuilt from the job
-        # chain on demand)
+        # bounded by ECO_SESSIONS
         self._sessions: "OrderedDict[str, Any]" = OrderedDict()
-        self._session_cap = max(1, int(eco_sessions))
         # per-job observability: job id -> the job's Context, newest
         # last; one LRU bounded by ``max_traces`` so a daemon fielding
         # jobs forever stays flat in memory
         self._job_observers: "OrderedDict[str, Context]" = OrderedDict()
         self._max_traces = max(1, int(max_traces))
         self._max_trace_spans = max_trace_spans
-        self._max_profile_stages = max_profile_stages
         self._evicted_traces = 0
         self.queue = JobQueue(
             workers=workers,
@@ -271,7 +273,7 @@ class ServiceDaemon:
         if spec.profile:
             observers["profiler"] = Profiler(
                 enabled=True,
-                max_profiles=self._max_profile_stages,
+                max_profiles=MAX_PROFILE_STAGES,
                 profile_id=trace_id,
             )
             self.registry.counter("service.profiles.captured").inc()
@@ -382,7 +384,7 @@ class ServiceDaemon:
         with self._lock:
             self._sessions[job_id] = session
             self._sessions.move_to_end(job_id)
-            while len(self._sessions) > self._session_cap:
+            while len(self._sessions) > ECO_SESSIONS:
                 self._sessions.popitem(last=False)
 
     def _on_settle(self, job: Job) -> None:

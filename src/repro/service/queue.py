@@ -14,9 +14,7 @@ running; a client bounds its own wait instead
 (:meth:`repro.service.client.ServiceClient.wait`).
 
 ``max_pending`` is the backpressure knob: submissions beyond that many
-queued jobs raise :class:`QueueFull` instead of growing without bound
--- the same windowing idea :func:`repro.engine.pool.parallel_map`
-applies to in-flight pool items, applied at the job level.
+queued jobs raise :class:`QueueFull` instead of growing without bound.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Static timing analysis: timing graph, propagation, SDC constraints.
 
-Propagation runs on one of two backends: ``"compiled"`` (default) flat
-integer-id arrays with corner rescaling, incremental ECO re-timing and
-per-module caching (:mod:`repro.sta.compiled`), or ``"reference"``, the
-original dict-based walk kept as a bit-identical parity oracle.
+The module-level entry points (``analyze``, ``region_critical_path``,
+``ssta_analyze``, ...) run on one of two backends: ``"compiled"``
+(default) flat integer-id arrays with corner rescaling, incremental ECO
+re-timing and per-module caching (:mod:`repro.sta.compiled`), or
+``"reference"``, the dict-based walk of :func:`propagate` and
+:func:`ssta_propagate`, kept as a bit-identical parity oracle.
 """
 
 from .graph import (
@@ -21,7 +23,6 @@ from .analysis import (
     StaReport,
     TimingLoopError,
     analyze,
-    analyze_corners,
     min_clock_period,
     path_to_text,
     propagate,
@@ -31,7 +32,6 @@ from .compiled import (
     CompiledTimingGraph,
     annotate_wires,
     compiled_graph,
-    compiled_of,
     invalidate_module,
 )
 from .ssta import (
@@ -40,7 +40,6 @@ from .ssta import (
     StatArrival,
     delay_element_matching,
     ssta_analyze,
-    ssta_corners,
     ssta_propagate,
     statistical_max,
 )
@@ -62,12 +61,10 @@ __all__ = [
     "StatArrival",
     "annotate_wires",
     "compiled_graph",
-    "compiled_of",
     "delay_element_matching",
     "invalidate_module",
     "node_sort_key",
     "ssta_analyze",
-    "ssta_corners",
     "ssta_propagate",
     "statistical_max",
     "Disable",
@@ -83,7 +80,6 @@ __all__ = [
     "TimingGraph",
     "TimingLoopError",
     "analyze",
-    "analyze_corners",
     "build_timing_graph",
     "compute_net_loads",
     "min_clock_period",

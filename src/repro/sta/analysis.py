@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..liberty.model import Library
 from ..netlist.core import Module
 from ..obs import metrics, trace
 from .graph import Disable, Node, TimingGraph, build_timing_graph, node_sort_key
 
-#: propagation backends: "compiled" (flat-array engine, corner-rescaled,
-#: cached) and "reference" (the original dict walk, kept as the oracle)
+#: backends of the module-level entry points: "compiled" (flat-array
+#: engine, corner-rescaled, cached) and "reference" (the dict walk of
+#: :func:`propagate`, kept as the oracle)
 BACKENDS = ("compiled", "reference")
 
 
-def _check_backend(backend: str) -> None:
+def check_backend(backend: str) -> None:
+    """Raise ``ValueError`` unless ``backend`` is one of :data:`BACKENDS`."""
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown STA backend {backend!r}; expected one of {BACKENDS}"
@@ -87,23 +89,15 @@ def propagate(
     graph: TimingGraph,
     input_arrival: float = 0.0,
     clock_period: Optional[float] = None,
-    backend: str = "compiled",
 ) -> StaReport:
     """Run max-delay propagation and backtrace the critical path.
 
-    Both backends produce bit-identical reports; ``"reference"`` is the
-    oracle the compiled engine is checked against.
+    The reference dict walk: the oracle the compiled engine is checked
+    against.  ``CompiledTimingGraph(graph).propagate(1.0, ...)`` gives
+    the bit-identical report from flat arrays.
     """
-    _check_backend(backend)
     with trace.span("sta.propagate") as span:
-        if backend == "compiled":
-            from .compiled import compiled_of
-
-            report = compiled_of(graph).propagate(
-                1.0, input_arrival, clock_period
-            )
-        else:
-            report = _propagate(graph, input_arrival, clock_period)
+        report = _propagate(graph, input_arrival, clock_period)
         span.set("nodes", len(report.arrivals))
         span.set("critical_delay", round(report.critical_delay, 6))
     metrics.counter("sta.propagations").inc()
@@ -182,7 +176,7 @@ def analyze(
     mutation stamp and every corner is derived by derate rescaling, so
     multi-corner analysis pays a single build.
     """
-    _check_backend(backend)
+    check_backend(backend)
     with trace.span("sta.analyze", module=module.name, corner=corner):
         if backend == "compiled":
             from .compiled import compiled_graph
@@ -194,52 +188,7 @@ def analyze(
             metrics.counter("sta.propagations").inc()
             return report
         graph = build_timing_graph(module, library, corner, disables)
-        return propagate(graph, clock_period=clock_period, backend=backend)
-
-
-def _analyze_corner_task(args) -> Tuple[str, StaReport]:
-    module, library, corner, clock_period, disables, backend = args
-    return corner, analyze(
-        module, library, corner, clock_period, disables, backend=backend
-    )
-
-
-def analyze_corners(
-    module: Module,
-    library: Library,
-    corners: Optional[Iterable[str]] = None,
-    clock_period: Optional[float] = None,
-    disables: Optional[Iterable[Disable]] = None,
-    backend: str = "compiled",
-    jobs: Optional[int] = None,
-) -> Dict[str, StaReport]:
-    """STA at every corner (default: all of the library's).
-
-    ``jobs`` > 1 fans the corners out over
-    :func:`repro.engine.pool.parallel_map`; the serial fallback is
-    bit-identical, so results never depend on the worker count.
-    """
-    _check_backend(backend)
-    names = list(corners) if corners is not None else sorted(library.corners)
-    if jobs is not None and jobs > 1 and len(names) > 1:
-        from ..engine.pool import parallel_map
-
-        disables_t = tuple(disables) if disables is not None else None
-        pairs = parallel_map(
-            _analyze_corner_task,
-            [
-                (module, library, name, clock_period, disables_t, backend)
-                for name in names
-            ],
-            jobs=jobs,
-        )
-        return dict(pairs)
-    return {
-        name: analyze(
-            module, library, name, clock_period, disables, backend=backend
-        )
-        for name in names
-    }
+        return propagate(graph, clock_period=clock_period)
 
 
 def min_clock_period(
@@ -272,7 +221,7 @@ def region_critical_path(
     share is cached per module -- querying every region of a design no
     longer re-walks the whole module per region.
     """
-    _check_backend(backend)
+    check_backend(backend)
     with trace.span("sta.region_critical_path", instances=len(instances)):
         if backend == "compiled":
             from .compiled import compiled_graph
@@ -286,7 +235,7 @@ def region_critical_path(
         graph = build_timing_graph(
             module, library, corner, instance_filter=instances
         )
-        return propagate(graph, backend=backend).critical_delay
+        return propagate(graph).critical_delay
 
 
 def path_to_text(report: StaReport) -> str:

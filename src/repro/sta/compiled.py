@@ -771,22 +771,6 @@ class CompiledTimingGraph:
                 parent[nid] = par
 
 
-def compiled_of(graph: TimingGraph) -> CompiledTimingGraph:
-    """Flatten ``graph`` once and memoise the result on the instance.
-
-    For callers that hold a :class:`TimingGraph` directly (rather than
-    going through :func:`compiled_graph`): repeat propagations of the
-    same graph object share one flattening.  The memo assumes the graph
-    is not mutated after the first propagation -- the builder never
-    mutates a returned graph.
-    """
-    compiled = getattr(graph, "_compiled", None)
-    if compiled is None:
-        compiled = CompiledTimingGraph(graph)
-        graph._compiled = compiled
-    return compiled
-
-
 # ----------------------------------------------------------------------
 # per-module compiled-graph cache
 # ----------------------------------------------------------------------

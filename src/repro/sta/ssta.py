@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..liberty.model import Library
 from ..netlist.core import Module
-from .analysis import _check_backend, _topological_order
+from .analysis import _topological_order, check_backend
 from .graph import Node, TimingGraph, build_timing_graph, node_sort_key
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -141,18 +141,13 @@ def ssta_propagate(
     graph: TimingGraph,
     sigma_global: float = 0.08,
     sigma_local: float = 0.04,
-    backend: str = "compiled",
 ) -> SstaReport:
     """Statistical max-delay propagation over a timing graph.
 
-    Backends are bit-identical: the compiled engine replays the same
-    ``plus``/Clark-max call sequence over flat arrays.
+    The reference dict walk: ``CompiledTimingGraph(graph).ssta(1.0,
+    ...)`` replays the same ``plus``/Clark-max call sequence over flat
+    arrays and is bit-identical.
     """
-    _check_backend(backend)
-    if backend == "compiled":
-        from .compiled import compiled_of
-
-        return compiled_of(graph).ssta(1.0, sigma_global, sigma_local)
     arrivals: Dict[Node, StatArrival] = {}
     for node, clk_to_q in graph.launch_nodes.items():
         arrivals[node] = StatArrival(clk_to_q, clk_to_q * sigma_global,
@@ -201,7 +196,7 @@ def ssta_analyze(
 ) -> SstaReport:
     """SSTA at one corner; the compiled backend shares one base graph
     across corners via derate rescaling."""
-    _check_backend(backend)
+    check_backend(backend)
     if backend == "compiled":
         from .compiled import compiled_graph
 
@@ -209,51 +204,7 @@ def ssta_analyze(
             library.corner(corner).derate, sigma_global, sigma_local
         )
     graph = build_timing_graph(module, library, corner)
-    return ssta_propagate(graph, sigma_global, sigma_local, backend=backend)
-
-
-def _ssta_corner_task(args) -> Tuple[str, SstaReport]:
-    module, library, corner, sigma_global, sigma_local, backend = args
-    return corner, ssta_analyze(
-        module, library, corner, sigma_global, sigma_local, backend=backend
-    )
-
-
-def ssta_corners(
-    module: Module,
-    library: Library,
-    corners: Optional[List[str]] = None,
-    sigma_global: float = 0.08,
-    sigma_local: float = 0.04,
-    backend: str = "compiled",
-    jobs: Optional[int] = None,
-) -> Dict[str, SstaReport]:
-    """SSTA at every corner (default: all of the library's).
-
-    ``jobs`` > 1 fans corners out over
-    :func:`repro.engine.pool.parallel_map`; the serial fallback is
-    bit-identical regardless of worker count.
-    """
-    _check_backend(backend)
-    names = list(corners) if corners is not None else sorted(library.corners)
-    if jobs is not None and jobs > 1 and len(names) > 1:
-        from ..engine.pool import parallel_map
-
-        pairs = parallel_map(
-            _ssta_corner_task,
-            [
-                (module, library, name, sigma_global, sigma_local, backend)
-                for name in names
-            ],
-            jobs=jobs,
-        )
-        return dict(pairs)
-    return {
-        name: ssta_analyze(
-            module, library, name, sigma_global, sigma_local, backend=backend
-        )
-        for name in names
-    }
+    return ssta_propagate(graph, sigma_global, sigma_local)
 
 
 # ----------------------------------------------------------------------

@@ -30,31 +30,12 @@ def _chip_seed(seed: int, index: int) -> int:
     """Deterministic per-chip RNG seed, independent of chip order.
 
     Derived by hashing ``(study seed, chip index)`` so chip ``i`` draws
-    the same values no matter how many chips are sampled, in what order,
-    or on which process-pool worker -- the property that makes serial
-    and parallel sampling bit-identical.
+    the same values no matter how many chips are sampled or in what
+    order: the first ten dies of a 100-die study are the dies of a
+    10-die study.
     """
     digest = hashlib.sha256(f"repro-mc:{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _sample_chip(
-    args: Tuple["VariabilityModel", int, Optional[Sequence[str]]]
-) -> "ChipSample":
-    """Sample one die from its own seeded RNG (process-pool worker)."""
-    model, chip_seed, instances = args
-    rng = random.Random(chip_seed)
-    inter = model._gauss(rng, 1.0, model.sigma_inter)
-    mismatch = model._gauss(
-        rng, 1.0, model.sigma_intra * model.tracking_residual
-    )
-    chip = ChipSample(inter_die=inter, tracking_mismatch=mismatch)
-    if instances:
-        chip.instance_factors = {
-            name: model._gauss(rng, 1.0, model.sigma_intra)
-            for name in instances
-        }
-    return chip
 
 
 @dataclass
@@ -87,22 +68,24 @@ class VariabilityModel:
         n: int,
         seed: int = 2006,
         instances: Optional[Sequence[str]] = None,
-        jobs: int = 1,
     ) -> List[ChipSample]:
         """Sample ``n`` dies.  Each chip draws from its own RNG seeded
-        by :func:`_chip_seed`, so the result is bit-identical whether
-        sampled serially (``jobs=1``) or fanned out over a process pool
-        (``jobs>1`` or ``jobs=None`` for all CPUs).
+        by :func:`_chip_seed`, so chip ``i`` does not depend on ``n``.
         """
-        tasks = [
-            (self, _chip_seed(seed, index), instances) for index in range(n)
-        ]
-        if jobs == 1:
-            chips = [_sample_chip(task) for task in tasks]
-        else:
-            from ..engine.pool import parallel_map
-
-            chips = parallel_map(_sample_chip, tasks, jobs=jobs)
+        chips: List[ChipSample] = []
+        for index in range(n):
+            rng = random.Random(_chip_seed(seed, index))
+            inter = self._gauss(rng, 1.0, self.sigma_inter)
+            mismatch = self._gauss(
+                rng, 1.0, self.sigma_intra * self.tracking_residual
+            )
+            chip = ChipSample(inter_die=inter, tracking_mismatch=mismatch)
+            if instances:
+                chip.instance_factors = {
+                    name: self._gauss(rng, 1.0, self.sigma_intra)
+                    for name in instances
+                }
+            chips.append(chip)
         metrics.counter("variability.chips_sampled").inc(n)
         return chips
 
@@ -423,16 +406,11 @@ def run_study(
     n_chips: int = 5000,
     margin: float = 0.10,
     seed: int = 2006,
-    jobs: int = 1,
     backend: str = "model",
     sim: Optional[SimBackendConfig] = None,
     lanes: int = 64,
 ) -> VariabilityStudy:
     """Monte-Carlo comparison of sync worst-case vs desync per-die period.
-
-    ``jobs`` fans the chip sampling out over a process pool; any value
-    produces bit-identical results (per-chip seeds, order-preserving
-    map).
 
     ``backend="model"`` uses the analytic period model (the original
     behaviour).  ``backend="sim"`` runs the design gate-level on the
@@ -454,7 +432,7 @@ def run_study(
         sync = synchronous_period(nominal_period, model)
         sim_stats: Optional[Dict[str, float]] = None
         if backend == "model":
-            chips = model.sample_chips(n_chips, seed=seed, jobs=jobs)
+            chips = model.sample_chips(n_chips, seed=seed)
             desync = [
                 desynchronized_period(nominal_period, chip, margin)
                 for chip in chips
@@ -469,9 +447,7 @@ def run_study(
             members = sorted(
                 {name for _, names in regions.values() for name in names}
             )
-            chips = model.sample_chips(
-                n_chips, seed=seed, instances=members, jobs=jobs
-            )
+            chips = model.sample_chips(n_chips, seed=seed, instances=members)
             desync, sim_stats = _sim_backend_periods(
                 nominal_period, model, chips, margin, sim, lanes, regions
             )

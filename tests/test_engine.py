@@ -24,7 +24,6 @@ from repro.engine import (
     Stage,
     StageStatus,
     read_journal,
-    render_report,
     engine_stats,
     stable_hash,
 )
@@ -165,10 +164,8 @@ def test_failed_stage_keeps_partial_artifacts():
         raise RuntimeError("backend fell over")
 
     graph = FlowGraph("partial")
-    graph.add(Stage("ok", lambda _: 1, outputs=("a",), cacheable=False))
-    graph.add(Stage(
-        "boom", boom, inputs=("a",), outputs=("b",), cacheable=False
-    ))
+    graph.add(Stage("ok", lambda _: 1, outputs=("a",)))
+    graph.add(Stage("boom", boom, inputs=("a",), outputs=("b",)))
     result = FlowEngine().run(graph)
     assert result.artifacts["a"] == 1
     assert "b" not in result.artifacts
@@ -181,23 +178,23 @@ def test_failed_stage_keeps_partial_artifacts():
 
 
 @pytest.mark.parametrize(
-    "enabled, cacheable, disposition",
-    [(True, False, "off"), (False, True, "off"), (True, True, "miss")],
-    ids=["uncacheable-stage", "disabled-cache", "missed"],
+    "cached, disposition",
+    [(False, "off"), (True, "miss")],
+    ids=["disabled-cache", "missed"],
 )
 def test_failed_stage_reports_the_lookup_it_made(
-    tmp_path, enabled, cacheable, disposition
+    tmp_path, cached, disposition
 ):
     """A failed stage's ``cache`` field says whether the cache was
-    consulted, and the run's registry counts every miss the cache
-    counts."""
+    consulted (an engine without a cache never looks), and the run's
+    registry counts every miss the cache counts."""
 
     def boom(_):
         raise RuntimeError("stage fell over")
 
     graph = FlowGraph("disposition")
-    graph.add(Stage("boom", boom, outputs=("b",), cacheable=cacheable))
-    cache = ArtifactCache(str(tmp_path / "cache"), enabled=enabled)
+    graph.add(Stage("boom", boom, outputs=("b",)))
+    cache = ArtifactCache(str(tmp_path / "cache")) if cached else None
     registry = MetricsRegistry()
     with use(Context(registry=registry)):
         result = FlowEngine(cache=cache).run(graph)
@@ -205,7 +202,8 @@ def test_failed_stage_reports_the_lookup_it_made(
     assert record.status is StageStatus.FAILED
     assert record.cache == disposition
     misses = registry.snapshot()["counters"].get("engine.cache.misses", 0)
-    assert misses == cache.stats.misses == (1 if disposition == "miss" else 0)
+    cache_misses = cache.stats.misses if cache is not None else 0
+    assert misses == cache_misses == (1 if disposition == "miss" else 0)
 
 
 def test_pnr_failure_degrades_gracefully(lib, tmp_path, monkeypatch):
@@ -261,7 +259,7 @@ def test_graph_requires_initial_artifacts():
 
 
 # ---------------------------------------------------------------------------
-# journal and reports
+# journal and stats
 
 
 def test_journal_round_trip(lib, tmp_path):
@@ -278,11 +276,9 @@ def test_journal_round_trip(lib, tmp_path):
     assert all("ts" in e for e in events)
 
 
-def test_render_report_and_stats(lib, tmp_path):
+def test_engine_stats(lib, tmp_path):
     engine = make_engine(tmp_path)
     run_desync(lib, engine, pipeline3(lib))
-    report = render_report(engine.results[-1])
-    assert "import" in report and "network" in report
     stats = engine_stats(engine.results, engine.cache)
     assert stats["runs"] == 1
     assert set(stats["stages"]) == set(DESYNC_STAGES)
@@ -312,8 +308,6 @@ def test_stage_cpu_time_in_records_journal_and_report(lib, tmp_path):
     assert all(
         (event["put"] > 0.0) == (event["cache"] == "miss") for event in ends
     )
-    report = render_report(cold)
-    assert "cpu (s)" in report.splitlines()[1]
     uncached = RunJournal()
     run_desync(lib, FlowEngine(journal=uncached), pipeline3(lib))
     ends = uncached.select("stage_end")

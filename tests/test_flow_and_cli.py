@@ -388,7 +388,9 @@ def test_cli_blif_and_gatefile_on_a_filled_cache(lib, tmp_path):
 
 def test_cli_import_loads_only_the_conversion(lib, tmp_path):
     """``import repro.cli`` plus a run on a filled cache loads no graph
-    library and none of the packages a conversion does not run."""
+    library, no process-pool machinery (``multiprocessing``,
+    ``concurrent.futures``) and none of the packages a conversion does
+    not run."""
     import json
     import os
     import subprocess
@@ -416,9 +418,10 @@ def test_cli_import_loads_only_the_conversion(lib, tmp_path):
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     unwanted = (
-        "networkx", "repro.sim", "repro.service", "repro.physical",
-        "repro.dft", "repro.flow", "repro.power", "repro.variability",
-        "repro.designs", "repro.obs.bench",
+        "networkx", "multiprocessing", "concurrent", "repro.sim",
+        "repro.service", "repro.physical", "repro.dft", "repro.flow",
+        "repro.power", "repro.variability", "repro.designs",
+        "repro.obs.bench",
     )
     loaded = [
         name for name in modules

@@ -195,7 +195,6 @@ def _two_stage_graph():
             name="make",
             func=lambda inputs: _busy(2000),
             outputs=("value",),
-            cacheable=False,
         )
     )
     graph.add(
@@ -204,7 +203,6 @@ def _two_stage_graph():
             func=lambda inputs: inputs["value"] + 1,
             inputs=("value",),
             outputs=("final",),
-            cacheable=False,
         )
     )
     return graph
@@ -229,16 +227,15 @@ def test_engine_without_scope_profiles_nothing():
     assert len(current().profiler) == before
 
 
-def test_parallel_executor_attributes_stages_to_the_scoped_profiler():
+def test_engine_attributes_independent_stages_to_the_scoped_profiler():
     """Independent stages all profile into the context's profiler."""
-    graph = FlowGraph("par")
+    graph = FlowGraph("branches")
     for i in range(4):
         graph.add(
             Stage(
                 name=f"branch{i}",
                 func=lambda inputs: _busy(500),
                 outputs=(f"out{i}",),
-                cacheable=False,
             )
         )
     profiler = Profiler(enabled=True, memory=False)

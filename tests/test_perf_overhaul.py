@@ -1,6 +1,6 @@
 """Tests for the hot-path performance overhaul.
 
-Covers the three rebuilt layers plus the parallel Monte-Carlo:
+Covers the three rebuilt layers plus Monte-Carlo chip seeding:
 
 - compiled / LUT liberty evaluators vs the AST ``evaluate()`` oracle,
   property-based over random expressions and exhaustive over every
@@ -10,7 +10,7 @@ Covers the three rebuilt layers plus the parallel Monte-Carlo:
   clock evaluation per flip-flop update, and no per-event env
   rebuilds;
 - ``ConnectivityIndex`` invalidation across every ``Module`` mutator;
-- serial-vs-process-pool bit-identity of the variability study.
+- per-chip seeds: a die does not depend on how many dies are sampled.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.designs import figure22_circuit
-from repro.engine import parallel_map
 from repro.liberty import core9_hs
 from repro.liberty.functions import (
     LUT_MAX_INPUTS,
@@ -46,7 +45,7 @@ from repro.netlist import (
 )
 from repro.sim import Simulator
 from repro.sim.testbench import SyncTestbench, initialize_registers
-from repro.variability import VariabilityModel, run_study
+from repro.variability import VariabilityModel
 
 LIB = core9_hs()
 
@@ -369,26 +368,8 @@ def test_force_net_applies_to_compiled_kernel():
 
 
 # ----------------------------------------------------------------------
-# parallel Monte-Carlo
+# Monte-Carlo chip seeding
 # ----------------------------------------------------------------------
-
-
-def test_sample_chips_serial_pool_bit_identical():
-    model = VariabilityModel()
-    serial = model.sample_chips(64, seed=11, instances=["u1", "u2"], jobs=1)
-    pooled = model.sample_chips(64, seed=11, instances=["u1", "u2"], jobs=4)
-    assert [
-        (c.inter_die, c.tracking_mismatch, c.instance_factors) for c in serial
-    ] == [
-        (c.inter_die, c.tracking_mismatch, c.instance_factors) for c in pooled
-    ]
-
-
-def test_run_study_serial_pool_bit_identical():
-    a = run_study(2.0, n_chips=300, margin=0.1, seed=5, jobs=1)
-    b = run_study(2.0, n_chips=300, margin=0.1, seed=5, jobs=2)
-    assert a.sync_period == b.sync_period
-    assert a.desync_periods == b.desync_periods
 
 
 def test_chip_samples_independent_of_population_size():
@@ -399,20 +380,3 @@ def test_chip_samples_independent_of_population_size():
     assert [c.inter_die for c in small] == [
         c.inter_die for c in large[:10]
     ]
-
-
-def _square(n):
-    return n * n
-
-
-def test_parallel_map_preserves_order():
-    assert parallel_map(_square, range(40), jobs=4) == [
-        n * n for n in range(40)
-    ]
-
-
-def test_parallel_map_falls_back_on_unpicklable_fn():
-    # a lambda cannot cross the process boundary: serial fallback
-    assert parallel_map(lambda n: n + 1, range(10), jobs=4) == list(
-        range(1, 11)
-    )

@@ -5,8 +5,7 @@ cancellation semantics, job-key dedupe with cross-job cache
 sharing, the HTTP round trip through ``service.client``, graceful
 drain, failure isolation, request-body validation, the service CLI
 verbs end to end against a ``serve`` subprocess, ``ArtifactCache``
-eviction + locking, ``parallel_map`` item-indexed errors +
-backpressure, and the ``RunJournal`` parent-directory fix.
+eviction + locking, and the ``RunJournal`` parent-directory fix.
 """
 
 import json
@@ -23,13 +22,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.engine import (
-    ArtifactCache,
-    PoolItemError,
-    RunJournal,
-    parallel_map,
-    read_journal,
-)
+from repro.engine import ArtifactCache, RunJournal, read_journal
 from repro.obs import MetricsRegistry
 from repro.service import (
     JobError,
@@ -606,49 +599,6 @@ def test_cache_unbounded_never_evicts(tmp_path):
         cache.put(f"{index:02d}" + "f" * 62, {"v": index})
     assert cache.stats.evictions == 0
     assert len(cache) == 5
-
-
-# ---------------------------------------------------------------------------
-# parallel_map satellite: indexed errors + max_pending
-# ---------------------------------------------------------------------------
-
-def _fail_on_seven(n):
-    if n == 7:
-        raise ValueError("seven is right out")
-    return n * n
-
-
-def test_parallel_map_serial_path_names_the_failing_item():
-    with pytest.raises(PoolItemError) as excinfo:
-        parallel_map(_fail_on_seven, range(10), jobs=1)
-    assert excinfo.value.index == 7
-    assert "item 7" in str(excinfo.value)
-    assert isinstance(excinfo.value.original, ValueError)
-
-
-def test_parallel_map_pool_path_names_the_failing_item():
-    with pytest.raises(PoolItemError) as excinfo:
-        parallel_map(_fail_on_seven, range(10), jobs=4)
-    assert excinfo.value.index == 7
-    assert "seven is right out" in str(excinfo.value)
-
-
-def _square(n):
-    return n * n
-
-
-def test_parallel_map_max_pending_matches_default_path():
-    items = list(range(30))
-    expected = [n * n for n in items]
-    assert parallel_map(_square, items, jobs=4) == expected
-    assert parallel_map(_square, items, jobs=4, max_pending=3) == expected
-    assert parallel_map(_square, items, jobs=1, max_pending=3) == expected
-
-
-def test_parallel_map_max_pending_propagates_item_errors():
-    with pytest.raises(PoolItemError) as excinfo:
-        parallel_map(_fail_on_seven, range(10), jobs=4, max_pending=2)
-    assert excinfo.value.index == 7
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ from repro.desync.delays import (
     _LADDER_MEMO,
     characterize_ladder,
 )
-from repro.engine.cache import ArtifactCache
+from repro.desync.network import region_delays
+from repro.desync.regions import RegionMap
 from repro.liberty import core9_hs
 from repro.liberty.model import OperatingCorner
 from repro.netlist import Module, PortDirection
 from repro.sta import (
+    CompiledTimingGraph,
     analyze,
-    analyze_corners,
     annotate_wires,
     build_timing_graph,
     compiled_graph,
@@ -36,7 +37,6 @@ from repro.sta import (
     min_clock_period,
     propagate,
     ssta_analyze,
-    ssta_corners,
     ssta_propagate,
 )
 from repro.sta.graph import NET_NODE, _is_disabled
@@ -158,14 +158,12 @@ def test_compiled_matches_reference_on_random_dags(module):
 )
 def test_propagate_backends_identical_on_one_graph(module, input_arrival):
     graph = build_timing_graph(module, LIB, "worst")
+    compiled = CompiledTimingGraph(graph)
     _assert_reports_identical(
-        propagate(graph, input_arrival, 3.0, backend="reference"),
-        propagate(graph, input_arrival, 3.0, backend="compiled"),
+        propagate(graph, input_arrival, 3.0),
+        compiled.propagate(1.0, input_arrival, 3.0),
     )
-    _assert_ssta_identical(
-        ssta_propagate(graph, backend="reference"),
-        ssta_propagate(graph, backend="compiled"),
-    )
+    _assert_ssta_identical(ssta_propagate(graph), compiled.ssta(1.0))
 
 
 def test_unknown_backend_rejected():
@@ -173,6 +171,12 @@ def test_unknown_backend_rejected():
     module.add_port("a", PortDirection.INPUT)
     with pytest.raises(ValueError, match="unknown STA backend"):
         analyze(module, LIB, backend="fast")
+    with pytest.raises(ValueError, match="unknown STA backend"):
+        region_delays(module, LIB, RegionMap(), backend="fast")
+    # checked before the in-process memo answers
+    characterize_ladder(LIB, "worst", max_length=10)
+    with pytest.raises(ValueError, match="unknown STA backend"):
+        characterize_ladder(LIB, "worst", max_length=10, backend="fast")
 
 
 # ----------------------------------------------------------------------
@@ -338,8 +342,7 @@ def test_net_node_sharing_reduces_edges():
     ]
     assert len(legs) == 2 + 3  # vs 2 * 3 direct edges
     _assert_reports_identical(
-        propagate(graph, backend="reference"),
-        propagate(graph, backend="compiled"),
+        propagate(graph), CompiledTimingGraph(graph).propagate(1.0)
     )
 
 
@@ -430,17 +433,6 @@ def test_ladder_memoized_in_process():
     assert best.rise_delays[0] < first.rise_delays[0]
 
 
-def test_ladder_disk_cache_roundtrip(tmp_path):
-    cache = ArtifactCache(str(tmp_path))
-    _LADDER_MEMO.clear()
-    first = characterize_ladder(LIB, "worst", max_length=8, cache=cache)
-    assert cache.stats.stores == 1
-    _LADDER_MEMO.clear()  # simulate a new process
-    second = characterize_ladder(LIB, "worst", max_length=8, cache=cache)
-    assert cache.stats.hits == 1
-    assert second.rise_delays == first.rise_delays
-
-
 def test_ladder_matches_reference_backend():
     _LADDER_MEMO.clear()
     for corner in ("best", "worst"):
@@ -452,7 +444,7 @@ def test_ladder_matches_reference_backend():
 
 
 # ----------------------------------------------------------------------
-# multi-corner sweeps: serial == parallel
+# multi-corner: every corner rescales one compiled graph
 # ----------------------------------------------------------------------
 
 def _four_corner_library():
@@ -462,30 +454,22 @@ def _four_corner_library():
     return library
 
 
-def test_analyze_corners_serial_parallel_identical():
+def test_analyze_every_corner_matches_reference():
     library = _four_corner_library()
     module = _ladder_module()
-    serial = analyze_corners(module, library, clock_period=6.0, jobs=1)
-    pooled = analyze_corners(module, library, clock_period=6.0, jobs=4)
-    assert sorted(serial) == sorted(library.corners) == sorted(pooled)
-    for corner in serial:
-        _assert_reports_identical(serial[corner], pooled[corner])
-    for corner, report in serial.items():
+    for corner in sorted(library.corners):
         _assert_reports_identical(
-            report,
+            analyze(module, library, corner, clock_period=6.0),
             analyze(module, library, corner, clock_period=6.0,
                     backend="reference"),
         )
 
 
-def test_ssta_corners_serial_parallel_identical():
+def test_ssta_every_corner_matches_reference():
     library = _four_corner_library()
     module = _ladder_module()
-    serial = ssta_corners(module, library, jobs=1)
-    pooled = ssta_corners(module, library, jobs=4)
-    for corner in serial:
-        _assert_ssta_identical(serial[corner], pooled[corner])
+    for corner in sorted(library.corners):
         _assert_ssta_identical(
-            serial[corner],
+            ssta_analyze(module, library, corner),
             ssta_analyze(module, library, corner, backend="reference"),
         )
