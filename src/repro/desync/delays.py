@@ -135,10 +135,7 @@ def characterize_ladder(
             compiled = _CHAIN_GRAPHS.get(chain_key)
             if compiled is None:
                 module = _chain_module(max_length, and_cell)
-                compiled = CompiledTimingGraph(
-                    build_timing_graph(module, library, derate=1.0),
-                    library=library,
-                )
+                compiled = CompiledTimingGraph(module, library)
                 _CHAIN_GRAPHS[chain_key] = compiled
             report = compiled.propagate(library.corner(corner).derate)
         else:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import os
 import pickle
@@ -260,11 +261,18 @@ class LazyArtifact:
 
     def load(self) -> Any:
         if not self._loaded:
+            # unpickling a netlist allocates objects that all survive:
+            # collections during the load would free nothing
+            enabled = gc.isenabled()
+            gc.disable()
             try:
                 with open(self.path, "rb") as handle:
                     self._value = pickle.load(handle)
             except Exception as exc:
                 raise CacheEntryError(self.key, self.path, exc) from exc
+            finally:
+                if enabled:
+                    gc.enable()
             self._loaded = True
         return self._value
 

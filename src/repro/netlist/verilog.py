@@ -28,13 +28,31 @@ class VerilogParseError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<escaped>\\[^ \t\r\n]+)      # escaped identifier
-  | (?P<number>\d+'[bBdDhH][0-9a-fA-FxXzZ_]+|\d+)
-  | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<sym>[()\[\]{},;:.=#*]|\-)
+    \\[^ \t\r\n]+                  # escaped identifier
+  | \d+'[bBdDhH][0-9a-fA-FxXzZ_]+|\d+ # number
+  | [A-Za-z_$][A-Za-z0-9_$]*        # identifier
+  | [()\[\]{},;:.=#*]|\-            # symbol
+  | \S                              # anything else: rejected below
     """,
     re.VERBOSE,
 )
+
+#: characters a token other than an escaped identifier or a number
+#: starts with
+_TOKEN_STARTS = frozenset(
+    "()[]{},;:.=#*-$_"
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+)
+
+
+def _is_token(token: str) -> bool:
+    """Whether ``token`` matched a real alternative of :data:`_TOKEN_RE`
+    rather than its one-character catch-all."""
+    first = token[0]
+    if first == "\\":
+        return len(token) > 1  # a lone backslash escapes nothing
+    return first in _TOKEN_STARTS or first.isdecimal()
+
 
 _COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
@@ -50,20 +68,14 @@ _SKIP_KEYWORDS = {"specify", "endspecify", "primitive", "endprimitive"}
 def tokenize(text: str) -> List[str]:
     """Split Verilog source into tokens, stripping comments."""
     text = _COMMENT_RE.sub(" ", text)
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise VerilogParseError(
-                f"unexpected character {text[pos]!r} at offset {pos}"
-            )
-        tokens.append(match.group(0))
-        pos = match.end()
+    tokens = _TOKEN_RE.findall(text)
+    if not all(map(_is_token, set(tokens))):
+        for match in _TOKEN_RE.finditer(text):
+            if not _is_token(match.group(0)):
+                raise VerilogParseError(
+                    f"unexpected character {match.group(0)!r} "
+                    f"at offset {match.start()}"
+                )
     return tokens
 
 

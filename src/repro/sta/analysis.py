@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from ..liberty.model import Library
 from ..netlist.core import Module
@@ -40,9 +40,14 @@ class PathPoint:
 
 @dataclass
 class StaReport:
-    """Result of one max-delay propagation."""
+    """Result of one max-delay propagation.
 
-    arrivals: Dict[Node, float]
+    ``arrivals`` maps every reached node to its arrival: a dict from the
+    reference walk, a read-only view over the arrival vector from the
+    compiled engine.  Both compare equal when their contents do.
+    """
+
+    arrivals: Mapping[Node, float]
     critical_endpoint: Optional[Node]
     critical_delay: float
     path: List[PathPoint] = field(default_factory=list)
@@ -93,8 +98,9 @@ def propagate(
     """Run max-delay propagation and backtrace the critical path.
 
     The reference dict walk: the oracle the compiled engine is checked
-    against.  ``CompiledTimingGraph(graph).propagate(1.0, ...)`` gives
-    the bit-identical report from flat arrays.
+    against.  For ``graph = build_timing_graph(module, library, corner)``,
+    ``CompiledTimingGraph(module, library).propagate(derate, ...)`` at the
+    corner's derate gives the bit-identical report from flat arrays.
     """
     with trace.span("sta.propagate") as span:
         report = _propagate(graph, input_arrival, clock_period)

@@ -1,9 +1,10 @@
 """Compiled STA engine: flat timing graphs with corner rescaling.
 
-:class:`CompiledTimingGraph` flattens a dict-of-dataclass
-:class:`~repro.sta.graph.TimingGraph` into integer-interned nodes and
-CSR-style edge arrays with a cached topological order, then answers
-every propagation question from those arrays:
+:class:`CompiledTimingGraph` interns the edge lists of the one netlist
+walk (:func:`~repro.sta.graph.walk_timing_edges`) straight into
+integer node ids and CSR-style edge arrays with a cached topological
+order -- no :class:`~repro.sta.graph.TimingGraph` is built -- then
+answers every propagation question from those arrays:
 
 - **corner rescaling** -- corner derates are scalar factors on every
   arc/wire delay, so the graph compiles *base* delays (``derate=1.0``)
@@ -23,12 +24,13 @@ every propagation question from those arrays:
   construction, not a relaxation.
 
 The graphs are cached per module in a :class:`weakref` map keyed by
-(library identity, disables, instance filter, view) and invalidated by
+(library identity, disables, instance filter) and invalidated by
 the module mutation stamp plus a fingerprint of the wire-annotation
 dicts, which mutate without bumping the stamp.
 
-The dict-based path in :mod:`repro.sta.analysis` survives untouched as
-the reference oracle; parity is enforced by tests and by the
+The dict-based path in :mod:`repro.sta.analysis` (a ``TimingGraph``
+built from the same walk) survives as the reference oracle; parity is
+enforced by tests and by the
 ``bench_sta_engine`` workload, which asserts identical critical delays,
 critical paths and region-delay maps between backends.
 """
@@ -36,7 +38,11 @@ critical paths and region-delay maps between backends.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from collections.abc import Mapping
+from itertools import accumulate, repeat
+from operator import itemgetter
+from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..liberty.model import CellKind, Library
 from ..netlist.core import Module, PortDirection
@@ -44,17 +50,16 @@ from ..obs import metrics
 from .graph import (
     Disable,
     Node,
-    TimingGraph,
-    build_timing_graph,
     compute_net_pin_load,
     node_sort_key,
     refresh_net_loads,
+    walk_timing_edges,
     wire_attr_fingerprint,
 )
 
 _NEG_INF = float("-inf")
 
-#: per-module cap on distinct cached (disables, filter, view) variants
+#: per-module cap on distinct cached (disables, filter) variants
 _MAX_VARIANTS = 32
 
 
@@ -68,53 +73,174 @@ class _PropState:
         self.parent = parent
 
 
-class CompiledTimingGraph:
-    """A timing graph flattened to integer-id arrays.
+def _csr(
+    n: int, order: List[int], src_ids: List[int], dst_ids: List[int]
+) -> Tuple[List[int], List[int]]:
+    """``adj_start``/``adj_dst`` of the edges ``order`` lists, which
+    must be grouped by source id in ascending order."""
+    counts = Counter(map(src_ids.__getitem__, order))
+    adj_start = list(accumulate(map(counts.get, range(n), repeat(0)),
+                                initial=0))
+    return adj_start, list(map(dst_ids.__getitem__, order))
 
-    Node ids follow :meth:`TimingGraph.nodes` order and edges follow
-    adjacency order, so every relaxation visits values in exactly the
-    reference sequence -- the basis of bit-identical parity.
+
+def _kahn_order(n: int, adj_start: List[int], adj_dst: List[int]) -> List[int]:
+    """Kahn's topological order with the reference walk's tie-breaking
+    (zero in-degree nodes in id order, FIFO); short when there is a
+    loop."""
+    counts = Counter(adj_dst)
+    indegree = list(map(counts.get, range(n), repeat(0)))
+    # the order doubles as the FIFO queue: a list iterator sees appends
+    topo = [nid for nid in range(n) if not indegree[nid]]
+    for nid in topo:
+        for dst in adj_dst[adj_start[nid]:adj_start[nid + 1]]:
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                topo.append(dst)
+    return topo
+
+
+def _back_edges(
+    n_roots: int, adj_start: List[int], adj_dst: List[int]
+) -> List[int]:
+    """Edge ids the reference ``_break_cycles`` cuts.
+
+    The same iterative depth-first search over integer ids: nodes
+    ``0..n_roots-1`` (the sources, in first-seen order) are the roots,
+    out-edges are followed in CSR order, and an edge into a node still
+    on the stack is a back edge.
+    """
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = bytearray(len(adj_start) - 1)
+    cut: List[int] = []
+    for root in range(n_roots):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        stack = [(root, adj_start[root])]
+        while stack:
+            node, ei = stack[-1]
+            if ei >= adj_start[node + 1]:
+                color[node] = BLACK
+                stack.pop()
+                continue
+            stack[-1] = (node, ei + 1)
+            dst = adj_dst[ei]
+            state = color[dst]
+            if state == GRAY:
+                cut.append(ei)
+            elif state == WHITE:
+                color[dst] = GRAY
+                stack.append((dst, adj_start[dst]))
+    return cut
+
+
+class _Arrivals(Mapping):
+    """Read-only ``node -> arrival`` view of one propagation.
+
+    Holds its own copy of the arrival vector, so a later incremental
+    update of the graph's state does not show through, and answers
+    lookups by node id instead of building a dict of every node.
+    Nodes no launch point or input reaches are absent.
+    """
+
+    __slots__ = ("_arr", "_nodes", "_node_id")
+
+    def __init__(self, arr: List[float], nodes: List[Node],
+                 node_id: Dict[Node, int]):
+        self._arr = arr
+        self._nodes = nodes
+        self._node_id = node_id
+
+    def __getitem__(self, node: Node) -> float:
+        value = self._arr[self._node_id[node]]
+        if value == _NEG_INF:
+            raise KeyError(node)
+        return value
+
+    def __iter__(self):
+        nodes = self._nodes
+        return (
+            nodes[nid]
+            for nid, value in enumerate(self._arr)
+            if value != _NEG_INF
+        )
+
+    def __len__(self) -> int:
+        return len(self._arr) - self._arr.count(_NEG_INF)
+
+
+class CompiledTimingGraph:
+    """The timing graph of a module view as integer-id arrays.
+
+    Built at derate 1.0 straight from :func:`walk_timing_edges`, with
+    no :class:`TimingGraph` in between.  Node ids follow
+    :meth:`TimingGraph.nodes` order and edges follow adjacency order, and
+    loops are cut by the same depth-first search, so every relaxation
+    visits values in exactly the reference sequence -- the basis of
+    bit-identical parity.
     """
 
     def __init__(
         self,
-        graph: TimingGraph,
-        module: Optional[Module] = None,
-        library: Optional[Library] = None,
+        module: Module,
+        library: Library,
+        disables: Optional[Iterable[Disable]] = None,
+        instance_filter: Optional[AbstractSet[str]] = None,
     ):
         # held weakly: _MODULE_CACHE keys on the module, so a strong
         # reference from its value would keep every timed module alive
-        self._module_ref = weakref.ref(
-            module if module is not None else graph.module
-        )
+        self._module_ref = weakref.ref(module)
         self.library = library
-        self.build_derate = graph.derate
-        self.broken_edge_count = len(graph.broken_edges)
+        walk = walk_timing_edges(module, library, disables, instance_filter)
+        edges = walk.edges
 
-        nodes = graph.nodes()
+        # ---- nodes: first seen as a source, then only as a destination,
+        # then launch, capture, sorted inputs, sorted outputs ----------
+        index: Dict[Node, Any] = dict.fromkeys(map(itemgetter(0), edges))
+        n_sources = len(index)
+        index.update(dict.fromkeys(map(itemgetter(1), edges)))
+        index.update(dict.fromkeys(walk.launch_nodes))
+        index.update(dict.fromkeys(walk.capture_nodes))
+        index.update(
+            dict.fromkeys(sorted(walk.input_nodes, key=node_sort_key))
+        )
+        index.update(
+            dict.fromkeys(sorted(walk.output_nodes, key=node_sort_key))
+        )
+        nodes = list(index)
         self.nodes: List[Node] = nodes
-        node_id: Dict[Node, int] = {
-            node: index for index, node in enumerate(nodes)
-        }
+        node_id: Dict[Node, int] = dict(zip(nodes, range(len(nodes))))
         self.node_id = node_id
         n = len(nodes)
 
-        # ---- CSR forward edges, in adjacency order -------------------
-        adj_start = [0] * (n + 1)
-        adj_dst: List[int] = []
-        delays: List[float] = []
-        edge_nets: List[Optional[str]] = []
-        edge_arcs: List[Optional[object]] = []
-        for nid, node in enumerate(nodes):
-            for edge in graph.adjacency.get(node, ()):
-                adj_dst.append(node_id[edge.dst])
-                delays.append(edge.delay)
-                edge_nets.append(edge.net)
-                edge_arcs.append(edge.arc)
-            adj_start[nid + 1] = len(adj_dst)
+        # ---- CSR forward edges: by source id, walk order within one --
+        src_ids = list(map(node_id.__getitem__, map(itemgetter(0), edges)))
+        dst_ids = list(map(node_id.__getitem__, map(itemgetter(1), edges)))
+        order = sorted(range(len(edges)), key=src_ids.__getitem__)
+        adj_start, adj_dst = _csr(n, order, src_ids, dst_ids)
+        topo = _kahn_order(n, adj_start, adj_dst)
+        cut: List[int] = []
+        if len(topo) != n:
+            # Kahn's order is short exactly when there is a loop: cut
+            # the back edges the reference search cuts, then order again
+            cut = _back_edges(n_sources, adj_start, adj_dst)
+            cut_set = set(cut)
+            order = [ei for pos, ei in enumerate(order) if pos not in cut_set]
+            adj_start, adj_dst = _csr(n, order, src_ids, dst_ids)
+            topo = _kahn_order(n, adj_start, adj_dst)
+        self.broken_edge_count = len(cut)
         self._adj_start = adj_start
         self._adj_dst = adj_dst
-        self._delay = delays
+        self._topo = topo
+        #: built by the first incremental update; a cold query never
+        #: reads them
+        self._topo_pos: Optional[List[int]] = None
+        self._rin: Optional[List[List[Tuple[int, int]]]] = None
+        ordered = list(map(edges.__getitem__, order))
+        self._delay = list(map(itemgetter(2), ordered))
+        edge_nets = list(map(itemgetter(3), ordered))
+        edge_arcs = list(map(itemgetter(4), ordered))
         self._edge_arc = edge_arcs
 
         # ---- net -> edge-id maps for incremental wire updates --------
@@ -133,12 +259,11 @@ class CompiledTimingGraph:
         # ---- launch / capture / port nodes ---------------------------
         self._launch_items: List[Tuple[int, float]] = [
             (node_id[node], delay)
-            for node, delay in graph.launch_nodes.items()
+            for node, delay in walk.launch_nodes.items()
         ]
         self._launch_base: Dict[int, float] = dict(self._launch_items)
         self._launch_arcs: Dict[int, List[Tuple[object, str]]] = {
-            node_id[node]: list(arcs)
-            for node, arcs in graph.launch_arcs.items()
+            node_id[node]: arcs for node, arcs in walk.launch_arcs.items()
         }
         launch_by_net: Dict[str, List[int]] = {}
         for nid, arcs in self._launch_arcs.items():
@@ -148,62 +273,23 @@ class CompiledTimingGraph:
 
         self._capture_items: List[Tuple[int, float]] = [
             (node_id[node], setup)
-            for node, setup in graph.capture_nodes.items()
+            for node, setup in walk.capture_nodes.items()
         ]
         self._input_ids: List[int] = sorted(
-            node_id[node] for node in graph.input_nodes
+            node_id[node] for node in walk.input_nodes
         )
         self._input_id_set = frozenset(self._input_ids)
 
         # endpoints in deterministic node order, with their base setups
-        setup_of = dict(self._capture_items)
-        endpoint_nodes = set(graph.capture_nodes) | graph.output_nodes
+        setup_of = walk.capture_nodes
+        endpoint_nodes = set(setup_of) | walk.output_nodes
         self._endpoints: List[Tuple[int, float]] = [
-            (node_id[node], setup_of.get(node_id[node], 0.0))
+            (node_id[node], setup_of.get(node, 0.0))
             for node in sorted(endpoint_nodes, key=node_sort_key)
         ]
 
-        # ---- topological order (Kahn, reference tie-breaking) --------
-        from collections import deque
-
-        from .analysis import TimingLoopError
-
-        indegree = [0] * n
-        for dst in adj_dst:
-            indegree[dst] += 1
-        queue = deque(nid for nid in range(n) if indegree[nid] == 0)
-        topo: List[int] = []
-        while queue:
-            nid = queue.popleft()
-            topo.append(nid)
-            for ei in range(adj_start[nid], adj_start[nid + 1]):
-                dst = adj_dst[ei]
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    queue.append(dst)
-        if len(topo) != n:
-            raise TimingLoopError(
-                f"timing graph has {n - len(topo)} nodes in cycles"
-            )
-        self._topo = topo
-        topo_pos = [0] * n
-        for pos, nid in enumerate(topo):
-            topo_pos[nid] = pos
-        self._topo_pos = topo_pos
-
-        # reverse in-edges per node, sorted by forward encounter order
-        # (source topo position, then edge id) so recompute-by-in-edges
-        # resolves ties exactly like forward relaxation
-        rin: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for src in range(n):
-            for ei in range(adj_start[src], adj_start[src + 1]):
-                rin[adj_dst[ei]].append((src, ei))
-        for entries in rin:
-            entries.sort(key=lambda se: (topo_pos[se[0]], se[1]))
-        self._rin = rin
-
         # ---- wire-annotation snapshots for diffing -------------------
-        attrs = self.module.attributes
+        attrs = module.attributes
         self._wire_caps: Dict[str, float] = dict(
             attrs.get("net_wire_cap", {})
         )
@@ -313,11 +399,7 @@ class CompiledTimingGraph:
         parent = state.parent
         nodes = self.nodes
 
-        arrivals = {
-            nodes[nid]: arrival
-            for nid, arrival in enumerate(arr)
-            if arrival != _NEG_INF
-        }
+        arrivals = _Arrivals(list(arr), nodes, self.node_id)
         worst_id = -1
         worst_delay = 0.0
         endpoint_slacks: Dict[Node, float] = {}
@@ -437,10 +519,6 @@ class CompiledTimingGraph:
         module structure to be unchanged since the build (the module
         cache checks the mutation stamp before calling this).
         """
-        if self.library is None:
-            raise ValueError(
-                "refresh_wires needs the library the graph was built with"
-            )
         module = self.module
         attrs = module.attributes
         new_caps: Dict[str, float] = attrs.get("net_wire_cap", {})
@@ -460,7 +538,6 @@ class CompiledTimingGraph:
         ]
 
         delays = self._delay
-        build_derate = self.build_derate
         dirty_nodes: set = set()
         changed_edges = 0
 
@@ -475,7 +552,7 @@ class CompiledTimingGraph:
                 new_caps.get(net, default_cap),
             )
             for ei in self._arc_edges_by_net.get(net, ()):
-                base = self._edge_arc[ei].worst_delay(load) * build_derate
+                base = self._edge_arc[ei].worst_delay(load)
                 if base != delays[ei]:
                     delays[ei] = base
                     dirty_nodes.add(self._adj_dst[ei])
@@ -494,7 +571,7 @@ class CompiledTimingGraph:
                             new_caps.get(arc_net, default_cap),
                         )
                     )
-                    value = arc.worst_delay(arc_load) * build_derate
+                    value = arc.worst_delay(arc_load)
                     if value > base:
                         base = value
                 if base != self._launch_base[nid]:
@@ -502,7 +579,7 @@ class CompiledTimingGraph:
                     dirty_nodes.add(nid)
 
         for net in changed_delay_nets:
-            new_base = new_delays.get(net, 0.0) * build_derate
+            new_base = new_delays.get(net, 0.0)
             for ei in self._net_edges_by_net.get(net, ()):
                 if delays[ei] != new_base:
                     delays[ei] = new_base
@@ -555,8 +632,6 @@ class CompiledTimingGraph:
         module cache handles this by not restamping the entry, so the
         next :func:`compiled_graph` call rebuilds).
         """
-        if self.library is None:
-            return False
         module = self.module
         inst = module.instances.get(instance)
         if inst is None:
@@ -593,7 +668,6 @@ class CompiledTimingGraph:
                 return False
             arc_map[id(old_arc)] = new_arc
 
-        build_derate = self.build_derate
         delays = self._delay
         adj_dst = self._adj_dst
         nodes = self.nodes
@@ -632,7 +706,7 @@ class CompiledTimingGraph:
                 if new_arc is None:
                     return False
                 self._edge_arc[ei] = new_arc
-                base = new_arc.worst_delay(load_of(net)) * build_derate
+                base = new_arc.worst_delay(load_of(net))
                 if base != delays[ei]:
                     delays[ei] = base
                     dirty_nodes.add(dst)
@@ -659,7 +733,7 @@ class CompiledTimingGraph:
         for net in sorted(changed_load):
             load = load_of(net)
             for ei in self._arc_edges_by_net.get(net, ()):
-                base = self._edge_arc[ei].worst_delay(load) * build_derate
+                base = self._edge_arc[ei].worst_delay(load)
                 if base != delays[ei]:
                     delays[ei] = base
                     dirty_nodes.add(adj_dst[ei])
@@ -669,7 +743,7 @@ class CompiledTimingGraph:
             # the builder maxes against a 0.0 default -- reproduce it
             base = 0.0
             for arc, arc_net in self._launch_arcs[nid]:
-                value = arc.worst_delay(load_of(arc_net)) * build_derate
+                value = arc.worst_delay(load_of(arc_net))
                 if value > base:
                     base = value
             if base != self._launch_base[nid]:
@@ -682,7 +756,7 @@ class CompiledTimingGraph:
             setups: Dict[str, float] = {}
             for arc in new_cell.arcs:
                 if arc.timing_type.startswith("setup"):
-                    value = arc.intrinsic_rise * build_derate
+                    value = arc.intrinsic_rise
                     if value > setups.get(arc.pin, 0.0):
                         setups[arc.pin] = value
             for i, (nid, setup) in enumerate(self._capture_items):
@@ -720,6 +794,25 @@ class CompiledTimingGraph:
         )
         return True
 
+    def _index_in_edges(self) -> None:
+        """Topological positions, and every node's in-edges sorted by
+        forward encounter order (source topo position, then edge id) so
+        recompute-by-in-edges resolves ties exactly like forward
+        relaxation."""
+        topo_pos = [0] * len(self.nodes)
+        for pos, nid in enumerate(self._topo):
+            topo_pos[nid] = pos
+        adj_start = self._adj_start
+        adj_dst = self._adj_dst
+        rin: List[List[Tuple[int, int]]] = [[] for _ in self.nodes]
+        for src in range(len(self.nodes)):
+            for ei in range(adj_start[src], adj_start[src + 1]):
+                rin[adj_dst[ei]].append((src, ei))
+        for entries in rin:
+            entries.sort(key=lambda se: (topo_pos[se[0]], se[1]))
+        self._topo_pos = topo_pos
+        self._rin = rin
+
     def _update_state(
         self,
         key: Tuple[float, float],
@@ -734,6 +827,8 @@ class CompiledTimingGraph:
         adj_start = self._adj_start
         adj_dst = self._adj_dst
         topo = self._topo
+        if self._rin is None:
+            self._index_in_edges()
         topo_pos = self._topo_pos
         launch_base = self._launch_base
         input_ids = self._input_id_set
@@ -798,39 +893,27 @@ def _module_fingerprint(module: Module) -> Tuple:
     )
 
 
-def _variant_key(
-    library: Library,
-    disables: Optional[Iterable[Disable]],
-    instance_filter,
-    through_sequential: bool,
-) -> Tuple:
-    return (
-        id(library),
-        frozenset(disables or ()),
-        frozenset(instance_filter) if instance_filter is not None else None,
-        bool(through_sequential),
-    )
-
-
 def compiled_graph(
     module: Module,
     library: Library,
     disables: Optional[Iterable[Disable]] = None,
     instance_filter=None,
-    through_sequential: bool = False,
 ) -> CompiledTimingGraph:
     """The cached compiled graph of a module view (built at derate 1.0).
 
     Rebuilt only when the module's mutation stamp or wire-annotation
     fingerprint moves; every corner of every analysis shares the one
-    build.  Distinct disables/filter/view combinations cache as
-    separate variants (bounded per module).
+    build.  Distinct disables/filter combinations cache as separate
+    variants (bounded per module).
     """
     variants = _MODULE_CACHE.get(module)
     if variants is None:
         variants = {}
         _MODULE_CACHE[module] = variants
-    key = _variant_key(library, disables, instance_filter, through_sequential)
+    disables = frozenset(disables or ())
+    if instance_filter is not None:
+        instance_filter = frozenset(instance_filter)
+    key = (id(library), disables, instance_filter)
     fingerprint = _module_fingerprint(module)
     entry = variants.get(key)
     if (
@@ -840,17 +923,7 @@ def compiled_graph(
     ):
         metrics.counter("sta.compiled.cache_hits").inc()
         return entry.graph
-    graph = build_timing_graph(
-        module,
-        library,
-        disables=disables,
-        instance_filter=(
-            set(instance_filter) if instance_filter is not None else None
-        ),
-        through_sequential=through_sequential,
-        derate=1.0,
-    )
-    compiled = CompiledTimingGraph(graph, module=module, library=library)
+    compiled = CompiledTimingGraph(module, library, disables, instance_filter)
     if entry is None and len(variants) >= _MAX_VARIANTS:
         variants.pop(next(iter(variants)))
     variants[key] = _CacheEntry(compiled, library, fingerprint)
@@ -920,7 +993,7 @@ def swap_cell(
     if variants:
         fingerprint = _module_fingerprint(module)
         for entry in variants.values():
-            if entry.fingerprint[0] != old_stamp or entry.graph.library is None:
+            if entry.fingerprint[0] != old_stamp:
                 continue  # already stale; rebuilds on demand
             if entry.graph.retime_cell_swap(instance, old_cell):
                 entry.fingerprint = fingerprint
@@ -969,7 +1042,7 @@ def annotate_wires(
     fingerprint = _module_fingerprint(module)
     stamp = module.mutation_count
     for entry in variants.values():
-        if entry.fingerprint[0] == stamp and entry.graph.library is not None:
+        if entry.fingerprint[0] == stamp:
             entry.graph.refresh_wires()
             entry.fingerprint = fingerprint
         # stale-stamp entries rebuild on next access via the fingerprint

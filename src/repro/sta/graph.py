@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..liberty.model import CellKind, Library
-from ..netlist.core import Module, PortDirection
+from ..netlist.core import Module, PortDirection, bus_base
 
 #: a timing node: (instance name or None for ports, pin/bit name)
 Node = Tuple[Optional[str], str]
@@ -40,10 +40,9 @@ class TimingEdge:
     delay: float
     kind: str  # "arc" | "net"
     #: net whose load/annotation determines ``delay`` (``None`` for the
-    #: zero-delay fanout legs of a shared net node) -- consumed by the
-    #: compiled engine's incremental re-timing
+    #: zero-delay fanout legs of a shared net node)
     net: Optional[str] = None
-    #: liberty arc behind an "arc" edge, for load-dependent recompute
+    #: liberty arc behind an "arc" edge
     arc: Optional[object] = None
 
 
@@ -61,13 +60,6 @@ class TimingGraph:
     output_nodes: Set[Node] = field(default_factory=set)
     #: edges removed to break combinational cycles (back edges)
     broken_edges: List[TimingEdge] = field(default_factory=list)
-    #: derate factor the delays were built with (1.0 = base delays)
-    derate: float = 1.0
-    #: launch node -> [(arc, out_net)] contributions, for incremental
-    #: recompute of clock-to-output delays after load annotation
-    launch_arcs: Dict[Node, List[Tuple[object, str]]] = field(
-        default_factory=dict
-    )
 
     def add_edge(self, edge: TimingEdge) -> None:
         self.adjacency.setdefault(edge.src, []).append(edge)
@@ -215,6 +207,155 @@ def _is_disabled(
     )
 
 
+#: one walked edge: (src, dst, delay, net, arc); ``arc`` is ``None``
+#: exactly for net edges
+EdgeTuple = Tuple[Node, Node, float, Optional[str], Optional[object]]
+
+
+@dataclass
+class TimingEdges:
+    """What the netlist walk finds: the edges in the order
+    :meth:`TimingGraph.add_edge` receives them, plus the launch/capture
+    maps and port-node sets."""
+
+    edges: List[EdgeTuple] = field(default_factory=list)
+    launch_nodes: Dict[Node, float] = field(default_factory=dict)
+    #: launch node -> [(arc, out_net)] contributions, for incremental
+    #: recompute of clock-to-output delays after load annotation
+    launch_arcs: Dict[Node, List[Tuple[object, str]]] = field(
+        default_factory=dict
+    )
+    capture_nodes: Dict[Node, float] = field(default_factory=dict)
+    input_nodes: Set[Node] = field(default_factory=set)
+    output_nodes: Set[Node] = field(default_factory=set)
+
+
+def walk_timing_edges(
+    module: Module,
+    library: Library,
+    disables: Optional[Iterable[Disable]] = None,
+    instance_filter: Optional[AbstractSet[str]] = None,
+    through_sequential: bool = False,
+    derate: float = 1.0,
+) -> TimingEdges:
+    """Walk the netlist once and list the timing graph's edges.
+
+    The one netlist walk behind both backends:
+    :func:`build_timing_graph` wraps the edges into :class:`TimingEdge`
+    objects and :class:`repro.sta.compiled.CompiledTimingGraph` interns
+    them into flat arrays.  Loops are not cut here.
+    """
+    disable_set: Set[Disable] = set(disables or ())
+    loads = compute_net_loads(module, library)
+    wire_delays: Dict[str, float] = module.attributes.get("net_wire_delay", {})
+    walk = TimingEdges()
+    add = walk.edges.append
+    launch_nodes = walk.launch_nodes
+    launch_arcs = walk.launch_arcs
+    capture_nodes = walk.capture_nodes
+    cells = library.cells
+    combinational = CellKind.COMBINATIONAL
+
+    for inst in module.instances.values():
+        name = inst.name
+        if instance_filter is not None and name not in instance_filter:
+            continue
+        cell = cells.get(inst.cell)
+        if cell is None:
+            continue
+        pins = inst.pins
+        sequential = cell.kind != combinational
+        for arc in cell.arcs:
+            if arc.timing_type.startswith(("setup", "hold")):
+                if arc.timing_type.startswith("setup"):
+                    node = (name, arc.pin)
+                    setup = arc.intrinsic_rise * derate
+                    existing = capture_nodes.get(node, 0.0)
+                    capture_nodes[node] = max(existing, setup)
+                continue
+            out_net = pins.get(arc.pin)
+            if out_net is None:
+                continue
+            load = loads.get(out_net, 0.0)
+            delay = arc.worst_delay(load) * derate
+            if sequential:
+                is_clock_related = cell.pins[arc.related_pin].is_clock
+                if is_clock_related or not through_sequential:
+                    # clock->Q: a launch point rather than a through edge
+                    node = (name, arc.pin)
+                    existing = launch_nodes.get(node, 0.0)
+                    launch_nodes[node] = max(existing, delay)
+                    launch_arcs.setdefault(node, []).append((arc, out_net))
+                    continue
+                # transparent latch D->Q arc, kept in effective-view mode
+            if pins.get(arc.related_pin) is None:
+                continue
+            if disable_set and _is_disabled(
+                disable_set, name, arc.related_pin, arc.pin
+            ):
+                continue
+            add((
+                (name, arc.related_pin), (name, arc.pin), delay, out_net, arc
+            ))
+        if sequential and not through_sequential:
+            # data inputs without an explicit setup arc still capture
+            for pin in cell.pins.values():
+                if pin.direction != PortDirection.INPUT or pin.is_clock:
+                    continue
+                capture_nodes.setdefault((name, pin.name), 0.0)
+
+    # net edges: driver output pin -> sink input pins
+    ports = module.ports
+    instances = module.instances
+    output = PortDirection.OUTPUT
+    for net_name, net in module.nets.items():
+        if net.is_constant:
+            continue
+        wire_delay = wire_delays.get(net_name, 0.0) * derate
+        drivers: List[Node] = []
+        sinks: List[Node] = []
+        for ref in net.connections:
+            if ref.instance is None:
+                port = ports.get(_port_base(ref.pin))
+                if port is None:
+                    continue
+                node = (None, ref.pin)
+                if port.direction == PortDirection.INPUT:
+                    drivers.append(node)
+                    walk.input_nodes.add(node)
+                else:
+                    sinks.append(node)
+                    walk.output_nodes.add(node)
+                continue
+            if instance_filter is not None and ref.instance not in instance_filter:
+                continue
+            cell = cells.get(instances[ref.instance].cell)
+            if cell is None:
+                continue
+            pin = cell.pins.get(ref.pin)
+            if pin is None:
+                continue
+            if pin.direction == output:
+                drivers.append((ref.instance, ref.pin))
+            elif not (pin.is_clock and not through_sequential):
+                sinks.append((ref.instance, ref.pin))
+        if len(drivers) * len(sinks) > len(drivers) + len(sinks):
+            # multi-driver high-fanout net: one shared net node instead
+            # of the O(drivers x sinks) edge product.  The wire delay
+            # rides the driver legs; fanout legs are zero-delay, so
+            # every driver->sink arrival is unchanged.
+            shared = (NET_NODE, net_name)
+            for driver in drivers:
+                add((driver, shared, wire_delay, net_name, None))
+            for sink in sinks:
+                add((shared, sink, 0.0, None, None))
+        else:
+            for driver in drivers:
+                for sink in sinks:
+                    add((driver, sink, wire_delay, net_name, None))
+    return walk
+
+
 def build_timing_graph(
     module: Module,
     library: Library,
@@ -231,131 +372,36 @@ def build_timing_graph(
     between them) participate -- used for per-region analysis.  With
     ``through_sequential`` latch D->Q transparency arcs are kept, which
     models the effective datapath view of Figure 4.3.  ``derate``
-    overrides the corner's factor -- the compiled engine builds base
-    graphs at ``derate=1.0`` and rescales per corner.
+    overrides the corner's factor.
     """
     if derate is None:
         derate = library.corner(corner).derate
-    disable_set: Set[Disable] = set(disables or ())
-    loads = compute_net_loads(module, library)
-    wire_delays: Dict[str, float] = module.attributes.get("net_wire_delay", {})
-    graph = TimingGraph(module, derate=derate)
-
-    for inst in module.instances.values():
-        if instance_filter is not None and inst.name not in instance_filter:
-            continue
-        cell = library.cells.get(inst.cell)
-        if cell is None:
-            continue
-        sequential = cell.kind != CellKind.COMBINATIONAL
-        for arc in cell.arcs:
-            if arc.timing_type.startswith(("setup", "hold")):
-                if arc.timing_type.startswith("setup"):
-                    node = (inst.name, arc.pin)
-                    setup = arc.intrinsic_rise * derate
-                    existing = graph.capture_nodes.get(node, 0.0)
-                    graph.capture_nodes[node] = max(existing, setup)
-                continue
-            out_net = inst.pins.get(arc.pin)
-            if out_net is None:
-                continue
-            load = loads.get(out_net, 0.0)
-            delay = arc.worst_delay(load) * derate
-            if sequential:
-                is_clock_related = cell.pins[arc.related_pin].is_clock
-                if is_clock_related or not through_sequential:
-                    # clock->Q: a launch point rather than a through edge
-                    node = (inst.name, arc.pin)
-                    existing = graph.launch_nodes.get(node, 0.0)
-                    graph.launch_nodes[node] = max(existing, delay)
-                    graph.launch_arcs.setdefault(node, []).append(
-                        (arc, out_net)
-                    )
-                    continue
-                # transparent latch D->Q arc, kept in effective-view mode
-            if inst.pins.get(arc.related_pin) is None:
-                continue
-            if _is_disabled(disable_set, inst.name, arc.related_pin, arc.pin):
-                continue
-            graph.add_edge(
-                TimingEdge(
-                    (inst.name, arc.related_pin),
-                    (inst.name, arc.pin),
-                    delay,
-                    "arc",
-                    net=out_net,
-                    arc=arc,
-                )
+    walk = walk_timing_edges(
+        module, library, disables, instance_filter, through_sequential, derate
+    )
+    graph = TimingGraph(
+        module,
+        launch_nodes=walk.launch_nodes,
+        capture_nodes=walk.capture_nodes,
+        input_nodes=walk.input_nodes,
+        output_nodes=walk.output_nodes,
+    )
+    for src, dst, delay, net, arc in walk.edges:
+        graph.add_edge(
+            TimingEdge(
+                src,
+                dst,
+                delay,
+                "arc" if arc is not None else "net",
+                net=net,
+                arc=arc,
             )
-        if sequential and not through_sequential:
-            # data inputs without an explicit setup arc still capture
-            for pin in cell.pins.values():
-                if pin.direction != PortDirection.INPUT or pin.is_clock:
-                    continue
-                node = (inst.name, pin.name)
-                graph.capture_nodes.setdefault(node, 0.0)
-
-    # net edges: driver output pin -> sink input pins
-    for net_name, net in module.nets.items():
-        if net.is_constant:
-            continue
-        wire_delay = wire_delays.get(net_name, 0.0) * derate
-        drivers: List[Node] = []
-        sinks: List[Node] = []
-        for ref in net.connections:
-            if ref.instance is None:
-                port = module.ports.get(_port_base(ref.pin))
-                if port is None:
-                    continue
-                node = (None, ref.pin)
-                if port.direction == PortDirection.INPUT:
-                    drivers.append(node)
-                    graph.input_nodes.add(node)
-                else:
-                    sinks.append(node)
-                    graph.output_nodes.add(node)
-                continue
-            if instance_filter is not None and ref.instance not in instance_filter:
-                continue
-            inst = module.instances[ref.instance]
-            cell = library.cells.get(inst.cell)
-            if cell is None:
-                continue
-            pin = cell.pins.get(ref.pin)
-            if pin is None:
-                continue
-            if pin.direction == PortDirection.OUTPUT:
-                drivers.append((ref.instance, ref.pin))
-            elif not (pin.is_clock and not through_sequential):
-                sinks.append((ref.instance, ref.pin))
-        if len(drivers) * len(sinks) > len(drivers) + len(sinks):
-            # multi-driver high-fanout net: one shared net node instead
-            # of the O(drivers x sinks) edge product.  The wire delay
-            # rides the driver legs; fanout legs are zero-delay, so
-            # every driver->sink arrival is unchanged.
-            shared = (NET_NODE, net_name)
-            for driver in drivers:
-                graph.add_edge(
-                    TimingEdge(driver, shared, wire_delay, "net", net=net_name)
-                )
-            for sink in sinks:
-                graph.add_edge(TimingEdge(shared, sink, 0.0, "net"))
-        else:
-            for driver in drivers:
-                for sink in sinks:
-                    graph.add_edge(
-                        TimingEdge(
-                            driver, sink, wire_delay, "net", net=net_name
-                        )
-                    )
-
+        )
     _break_cycles(graph)
     return graph
 
 
 def _port_base(bit: str) -> str:
-    from ..netlist.core import bus_base
-
     base = bus_base(bit)
     return base if base is not None else bit
 

@@ -144,9 +144,10 @@ def ssta_propagate(
 ) -> SstaReport:
     """Statistical max-delay propagation over a timing graph.
 
-    The reference dict walk: ``CompiledTimingGraph(graph).ssta(1.0,
-    ...)`` replays the same ``plus``/Clark-max call sequence over flat
-    arrays and is bit-identical.
+    The reference dict walk: on the module ``graph`` was built from,
+    ``CompiledTimingGraph(module, library).ssta(derate, ...)`` at the
+    graph's derate replays the same ``plus``/Clark-max call sequence
+    over flat arrays and is bit-identical.
     """
     arrivals: Dict[Node, StatArrival] = {}
     for node, clk_to_q in graph.launch_nodes.items():

@@ -520,6 +520,58 @@ def test_damaged_sidecar_raises_typed_error_and_evicts(tmp_path, monkeypatch):
     assert cache.stats.evictions == 1
 
 
+def test_sidecar_loads_with_the_collector_paused(lib, tmp_path):
+    """Unpickling a netlist sidecar frees nothing, so it runs without
+    cyclic collections; the enabled flag it found is restored after a
+    good load and after a torn one."""
+    import gc
+
+    from repro.designs import dlx_core
+    from repro.engine.cache import CacheEntryError, LazyArtifact
+
+    module = dlx_core(lib, registers=8, multiplier=False, width=16)
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    key = "cd" + "3" * 62
+    assert cache.put(key, {"module": module})
+
+    def sidecar():
+        lazy = cache.get_lazy(key)["module"]
+        assert isinstance(lazy, LazyArtifact)
+        return lazy
+
+    collections = []
+
+    def spy(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(700, 10, 10)  # the interpreter default
+    gc.callbacks.append(spy)
+    try:
+        loaded = sidecar().load()
+        assert collections == []
+        assert gc.isenabled()
+        assert len(loaded.instances) == len(module.instances)
+
+        gc.disable()
+        sidecar().load()
+        assert not gc.isenabled(), "the load switched the collector on"
+        gc.enable()
+
+        torn = sidecar()
+        with open(torn.path, "r+b") as handle:
+            handle.truncate(20)
+        with pytest.raises(CacheEntryError):
+            torn.load()
+        assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(spy)
+        gc.set_threshold(*thresholds)
+        (gc.enable if enabled else gc.disable)()
+
+
 def test_engine_reruns_past_damaged_sidecars(lib, tmp_path, monkeypatch):
     """Every sidecar truncated: each is evicted and recomputed once."""
     from repro.engine import cache as cache_mod

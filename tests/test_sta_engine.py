@@ -2,20 +2,22 @@
 
 The compiled backend's contract is *bit-identical* results against the
 dict-based reference oracle -- not approximate equality.  These tests
-pin that down on randomized DAG netlists (hypothesis), on wildcard
-disables, and on the incremental wire-annotation path, plus the cache
-behaviours the engine layers on top (net loads, compiled graphs,
-characterised ladders).
+pin that down on randomized netlists with and without combinational
+loops (hypothesis), on region views, on wildcard disables, on a
+desynchronized circuit's controller loops, and on the incremental
+wire-annotation path, plus the cache behaviours the engine layers on
+top (net loads, compiled graphs, characterised ladders).
 """
 
 import gc
 import weakref
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.designs import pipeline3
+from repro.designs import dlx_core, figure22_circuit, pipeline3
 from repro.desync import desynchronize
 from repro.desync.delays import (
     _LADDER_MEMO,
@@ -36,6 +38,7 @@ from repro.sta import (
     invalidate_module,
     min_clock_period,
     propagate,
+    region_critical_path,
     ssta_analyze,
     ssta_propagate,
 )
@@ -77,12 +80,14 @@ def _assert_ssta_identical(a, b):
 
 
 @st.composite
-def random_netlists(draw):
-    """A random feed-forward gate-level module (a DAG by construction).
+def random_netlists(draw, feedback=False):
+    """A random gate-level module.
 
     Inputs and flip-flop outputs seed the net pool; every gate draws its
-    inputs from earlier nets only.  Some nets get wire-cap/delay
-    annotations so both delay sources are exercised.
+    inputs from earlier nets, so the module is a DAG -- unless
+    ``feedback``, when a gate input may also draw its own or a later
+    gate's output net and close a combinational loop.  Some nets get
+    wire-cap/delay annotations so both delay sources are exercised.
     """
     module = Module("rand")
     nets = []
@@ -93,11 +98,16 @@ def random_netlists(draw):
     n_ffs = draw(st.integers(0, 3))
     for i in range(n_ffs):
         nets.append(f"ffq{i}")
-    for g in range(draw(st.integers(1, 24))):
+    n_gates = draw(st.integers(1, 24))
+    for g in range(n_gates):
         cell, ins, out = draw(st.sampled_from(GATES))
         pins = {out: f"n{g}"}
+        later = n_gates - g if feedback else 0
         for pin in ins:
-            pins[pin] = nets[draw(st.integers(0, len(nets) - 1))]
+            pick = draw(st.integers(0, len(nets) - 1 + later))
+            pins[pin] = (
+                nets[pick] if pick < len(nets) else f"n{g + pick - len(nets)}"
+            )
         module.add_instance(f"g{g}", cell, pins)
         nets.append(f"n{g}")
     for i in range(n_ffs):
@@ -158,12 +168,172 @@ def test_compiled_matches_reference_on_random_dags(module):
 )
 def test_propagate_backends_identical_on_one_graph(module, input_arrival):
     graph = build_timing_graph(module, LIB, "worst")
-    compiled = CompiledTimingGraph(graph)
+    compiled = CompiledTimingGraph(module, LIB)
+    derate = LIB.corner("worst").derate
     _assert_reports_identical(
         propagate(graph, input_arrival, 3.0),
-        compiled.propagate(1.0, input_arrival, 3.0),
+        compiled.propagate(derate, input_arrival, 3.0),
     )
-    _assert_ssta_identical(ssta_propagate(graph), compiled.ssta(1.0))
+    _assert_ssta_identical(ssta_propagate(graph), compiled.ssta(derate))
+
+
+def _reference_edges(graph):
+    """(src, dst, delay, net, arc) of every edge, in node then list order."""
+    return [
+        (edge.src, edge.dst, edge.delay, edge.net, edge.arc)
+        for node in graph.nodes()
+        for edge in graph.adjacency.get(node, ())
+    ]
+
+
+def _compiled_edges(compiled):
+    nodes = compiled.nodes
+    edge_nets = {
+        ei: net
+        for net, ids in compiled._arc_edges_by_net.items()
+        for ei in ids
+    }
+    edge_nets.update(
+        (ei, net)
+        for net, ids in compiled._net_edges_by_net.items()
+        for ei in ids
+    )
+    return [
+        (
+            nodes[nid],
+            nodes[compiled._adj_dst[ei]],
+            compiled._delay[ei],
+            edge_nets.get(ei),
+            compiled._edge_arc[ei],
+        )
+        for nid in range(compiled.node_count)
+        for ei in range(compiled._adj_start[nid], compiled._adj_start[nid + 1])
+    ]
+
+
+@given(random_netlists(feedback=True), st.floats(0.0, 2.0))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_cyclic_netlists_cut_and_time_identically(module, input_arrival):
+    """Both backends cut the same loop edges and report the same path."""
+    graph = build_timing_graph(module, LIB, derate=1.0)
+    compiled = CompiledTimingGraph(module, LIB)
+    assert compiled.nodes == graph.nodes()
+    assert _compiled_edges(compiled) == _reference_edges(graph)
+    assert compiled.broken_edge_count == len(graph.broken_edges)
+    for corner in ("best", "worst"):
+        derate = LIB.corner(corner).derate
+        graph = build_timing_graph(module, LIB, corner)
+        _assert_reports_identical(
+            propagate(graph, input_arrival, 3.0),
+            compiled.propagate(derate, input_arrival, 3.0),
+        )
+        _assert_ssta_identical(ssta_propagate(graph), compiled.ssta(derate))
+        _assert_reports_identical(
+            analyze(module, LIB, corner, clock_period=3.0,
+                    backend="reference"),
+            analyze(module, LIB, corner, clock_period=3.0),
+        )
+
+
+def test_loop_cut_parity_on_a_latch_loop():
+    module = Module("loopy")
+    module.add_port("a", PortDirection.INPUT)
+    module.add_port("y", PortDirection.OUTPUT)
+    module.add_instance("u1", "NAND2X1", {"A": "a", "B": "n2", "Z": "n1"})
+    module.add_instance("u2", "NAND2X1", {"A": "n1", "B": "a", "Z": "n2"})
+    module.add_instance("u3", "BUFX1", {"A": "n1", "Z": "y"})
+    compiled = CompiledTimingGraph(module, LIB)
+    graph = build_timing_graph(module, LIB, derate=1.0)
+    assert compiled.broken_edge_count == len(graph.broken_edges) == 1
+    assert _compiled_edges(compiled) == _reference_edges(graph)
+    _assert_reports_identical(
+        analyze(module, LIB, clock_period=2.0, backend="reference"),
+        analyze(module, LIB, clock_period=2.0),
+    )
+
+
+def test_desynchronized_figure22_parity():
+    """The controller network's loops, cut by search or by the flow's
+    disables, time the same under both backends."""
+    result = desynchronize(figure22_circuit(LIB), LIB)
+    module = result.module
+    cut = analyze(module, LIB, backend="reference").broken_edge_count
+    assert cut > 0
+    for disables in (None, result.sta_disables()):
+        for corner in ("best", "worst"):
+            _assert_reports_identical(
+                analyze(module, LIB, corner, clock_period=5.0,
+                        disables=disables, backend="reference"),
+                analyze(module, LIB, corner, clock_period=5.0,
+                        disables=disables),
+            )
+
+
+@given(random_netlists(feedback=True), st.data())
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_region_views_match_reference(module, data):
+    region = data.draw(st.sets(st.sampled_from(sorted(module.instances))))
+    for corner in ("best", "worst"):
+        assert region_critical_path(module, LIB, region, corner) == (
+            region_critical_path(module, LIB, region, corner,
+                                 backend="reference")
+        )
+        _assert_reports_identical(
+            propagate(build_timing_graph(module, LIB, corner,
+                                         instance_filter=region)),
+            compiled_graph(module, LIB, instance_filter=region).propagate(
+                LIB.corner(corner).derate
+            ),
+        )
+
+
+def test_compiled_graph_builds_no_dict_graph(monkeypatch):
+    from repro.sta import graph as graph_mod
+
+    module = dlx_core(LIB, registers=8, multiplier=False, width=16)
+    built = []
+    for cls in (graph_mod.TimingEdge, graph_mod.TimingGraph):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    compiled = compiled_graph(module, LIB)
+    assert compiled.edge_count > 1000
+    assert built == []
+    build_timing_graph(module, LIB)  # the reference oracle still does
+    assert {"TimingEdge", "TimingGraph"} <= set(built)
+
+
+def test_compiled_arrivals_are_a_read_only_snapshot():
+    module = _ladder_module()
+    compiled = compiled_graph(module, LIB)
+    report = compiled.propagate(1.0)
+    arrivals = report.arrivals
+    assert isinstance(arrivals, Mapping) and not isinstance(arrivals, dict)
+    with pytest.raises(TypeError):
+        arrivals[("u0", "Z")] = 0.0
+    before = dict(arrivals)
+    assert arrivals == before == propagate(
+        build_timing_graph(module, LIB, derate=1.0)
+    ).arrivals
+    assert len(arrivals) == len(before) and list(arrivals) == list(before)
+    assert ("u0", "Z") in arrivals and ("nowhere", "Z") not in arrivals
+    assert arrivals.get(("nowhere", "Z"), -1.0) == -1.0
+
+    annotate_wires(module, {"n3": 0.05}, {"n3": 0.3})
+    assert compiled_graph(module, LIB) is compiled
+    after = compiled.propagate(1.0)
+    assert after.arrivals[("u11", "Z")] > before[("u11", "Z")]
+    assert dict(arrivals) == before, "a later update showed through"
 
 
 def test_unknown_backend_rejected():
@@ -342,7 +512,10 @@ def test_net_node_sharing_reduces_edges():
     ]
     assert len(legs) == 2 + 3  # vs 2 * 3 direct edges
     _assert_reports_identical(
-        propagate(graph), CompiledTimingGraph(graph).propagate(1.0)
+        propagate(graph),
+        CompiledTimingGraph(module, LIB).propagate(
+            LIB.corner("worst").derate
+        ),
     )
 
 

@@ -1,6 +1,10 @@
 """Verilog parser/writer round-trip tests."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netlist import (
     PortDirection,
@@ -8,6 +12,7 @@ from repro.netlist import (
     parse_verilog,
     write_verilog,
 )
+from repro.netlist.verilog import tokenize
 
 SIMPLE = """
 // a comment
@@ -166,3 +171,83 @@ def test_multiple_modules_and_top_is_last_written():
     out = write_verilog(netlist)
     assert out.rstrip().endswith("endmodule")
     assert out.index("module sub") < out.index("module top")
+
+
+# ----------------------------------------------------------------------
+# tokenizer: one findall against the per-character loop it replaced
+# ----------------------------------------------------------------------
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<escaped>\\[^ \t\r\n]+)      # escaped identifier
+  | (?P<number>\d+'[bBdDhH][0-9a-fA-FxXzZ_]+|\d+)
+  | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
+  | (?P<sym>[()\[\]{},;:.=#*]|\-)
+    """,
+    re.VERBOSE,
+)
+
+_ORACLE_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+
+def _oracle_tokenize(text):
+    """The per-character tokenizer, kept as the oracle."""
+    text = _ORACLE_COMMENT_RE.sub(" ", text)
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        match = _ORACLE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise VerilogParseError(
+                f"unexpected character {text[pos]!r} at offset {pos}"
+            )
+        tokens.append(match.group(0))
+        pos = match.end()
+    return tokens
+
+
+#: Verilog-flavoured pieces, plus characters no token starts with: a
+#: backtick, a quote, a tilde, a non-ASCII letter, an Arabic-Indic digit
+#: (a decimal, so a number) and a non-breaking space (whitespace)
+_PIECES = st.sampled_from([
+    "module", "endmodule", "u_1", "$sig", "n[3]", "\\a.b[0] ", "\\", "\\\t",
+    "4'b10x1", "8'hFF", "1'b0", "12", "3_", "\u0663", "\u00a0", "\u00e9",
+    "(", ")", "[", "]", "{", "}", ";", ",", ".", "=", "#", "*", "-", ":",
+    "`timescale", "`", "'", "~", " ", "\t", "\n", "\f",
+    "// note\n", "/* c */", "/*", "*/", "//",
+])
+
+
+@given(st.lists(
+    st.one_of(_PIECES, st.characters(max_codepoint=0x7F)), max_size=40
+).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_per_character_oracle(text):
+    try:
+        expected = _oracle_tokenize(text)
+    except VerilogParseError as exc:
+        with pytest.raises(VerilogParseError) as caught:
+            tokenize(text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert tokenize(text) == expected
+
+
+def test_tokenize_errors_name_the_character_and_offset():
+    with pytest.raises(VerilogParseError,
+                       match=r"unexpected character '~' at offset 4"):
+        tokenize("a b ~c")
+    # offsets count in the comment-stripped text
+    with pytest.raises(VerilogParseError,
+                       match=r"unexpected character \"'\" at offset 2"):
+        tokenize("/**/ ' x")
+    with pytest.raises(VerilogParseError,
+                       match=r"unexpected character '\\\\' at offset 2"):
+        tokenize("a \\ b")
+    assert tokenize("\\x\u00a0y \u0663\u0664") == [
+        "\\x\u00a0y", "\u0663\u0664"
+    ]
