@@ -23,12 +23,15 @@ as a slope near 2.
 Gates, as ceilings through :func:`repro.obs.bench.check_regression`:
 both primitive slopes <= 1.3; every stage taking >= 0.1 s at the
 largest size, timed without the GC pauses that fell inside it, <= 1.5;
-and the convert's total GC pause time <= 1.5.  GC is gated on its own
-because its pauses are lumpy: a full collection lands in whichever
-stage happens to cross the threshold, which would bend that stage's
-slope from run to run.  The stage ceiling stays above the primitives'
-because a stage's time at 4k cells is a few tenths of a second of
-wall time on a shared host.
+and the convert's total GC pause time at the largest size <= 8% of its
+engine wall time.  GC is gated on its own because its pauses are lumpy:
+a full collection lands in whichever stage happens to cross the
+threshold, which would bend that stage's slope from run to run.  It is
+gated as a share, not a slope, because under the CLI's collector
+policy the smallest convert may not reach one collection at all; a
+fit through that near-zero point rises when GC falls.  The stage
+ceiling stays above the primitives' because a stage's time at 4k cells
+is a few tenths of a second of wall time on a shared host.
 
 Run directly (not collected by pytest)::
 
@@ -64,7 +67,9 @@ REPEATS = 15
 REPEAT_BUDGET_S = 3.0
 MAX_PRIMITIVE_SLOPE = 1.3
 MAX_STAGE_SLOPE = 1.5
-MAX_GC_SLOPE = 1.5
+#: GC pause time over engine wall time, at the largest size: the
+#: CLI's policy spends ~4% there, the interpreter default ~15%
+MAX_GC_SHARE = 0.08
 #: stages faster than this at the largest size (GC pauses excluded)
 #: are reported, not gated
 MIN_STAGE_S = 0.1
@@ -279,6 +284,7 @@ def measure_converts(src, work):
         "engine_slope": round(loglog_slope(cells, engine), 3),
         "gc_total_s": rounded(gc_total),
         "gc_slope": round(loglog_slope(cells, gc_total), 3),
+        "gc_share": round(gc_total[-1] / engine[-1], 4),
         "wall_s": rounded(medians("wall_s")),
     }
 
@@ -329,12 +335,13 @@ def main(argv=None):
             f"{stage['raw_slope']:5.2f}  {stage['slope']:5.2f}"
             f"{'' if gated else ' (not gated)'}"
         )
-    metrics["gc_total_slope"] = converts["gc_slope"]
-    ceilings["gc_total_slope"] = MAX_GC_SLOPE
+    metrics["gc_share"] = converts["gc_share"]
+    ceilings["gc_share"] = MAX_GC_SHARE
     print(
         f"engine wall {converts['engine_s']} s (slope "
         f"{converts['engine_slope']:.2f}), GC {converts['gc_total_s']} s "
-        f"(slope {converts['gc_slope']:.2f})"
+        f"(slope {converts['gc_slope']:.2f}, "
+        f"{converts['gc_share']:.1%} of the largest convert)"
     )
 
     payload = {

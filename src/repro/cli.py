@@ -355,13 +355,15 @@ def _input_artifact(args: argparse.Namespace) -> DeferredArtifact:
 
     Keyed on the file's bytes and ``--top`` (``stable_hash`` adds the
     cache schema): equal bytes parse to equal netlists for as long as
-    the Verilog reader's output stays the same.
+    the Verilog reader's output stays the same.  The tag names the
+    reader's revision: ``/2`` ties supply nets' later references and
+    skips directives and ``specify`` paths.
     """
     with open(args.input, "rb") as handle:
         digest = hashlib.sha256(handle.read()).hexdigest()
     return DeferredArtifact(
         lambda: _read_input(args),
-        stable_hash(("verilog-file", digest, args.top)),
+        stable_hash(("verilog-file/2", digest, args.top)),
     )
 
 

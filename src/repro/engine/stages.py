@@ -37,6 +37,7 @@ from ..desync.regions import (
 )
 from ..netlist.cleanup import clean_logic, resolve_assigns, simplify_names
 from ..netlist.core import Module
+from ..netlist.lint import check_drivers
 from .cache import library_fingerprint, stable_hash
 from .graph import Stage
 
@@ -106,8 +107,10 @@ def desync_stages(
     # -- 3.2.1 design import hygiene + clock-period derivation ---------
     def s_import(a: Dict[str, Any]) -> Dict[str, Any]:
         module = a[module_input]
+        assigns_resolved = resolve_assigns(module)
+        check_drivers(module, gatefile)
         stats = {
-            "assigns_resolved": resolve_assigns(module),
+            "assigns_resolved": assigns_resolved,
             "names_simplified": simplify_names(module),
         }
         clock_period = options.clock_period
@@ -246,6 +249,7 @@ def desync_stages(
                 "corner": options.corner,
                 "clock_period": options.clock_period,
             },
+            version="2",  # v2: refuses multi-driven nets and unknown cells
         ),
         Stage(
             name=p + "group",

@@ -103,6 +103,10 @@ class GatefileError(Exception):
     """Raised for unknown cells/pins or malformed gatefile text."""
 
 
+class UnknownGateError(GatefileError, LookupError):
+    """A cell or pin the gatefile does not list."""
+
+
 class Gatefile(CellInfoProvider):
     """Cell classification + replacement rules, queryable by the tool."""
 
@@ -116,10 +120,10 @@ class Gatefile(CellInfoProvider):
     def pin_direction(self, cell: str, pin: str) -> PortDirection:
         info = self.cells.get(cell)
         if info is None:
-            raise GatefileError(f"cell {cell!r} not in gatefile")
+            raise UnknownGateError(f"cell {cell!r} not in gatefile")
         gate_pin = info.pins.get(pin)
         if gate_pin is None:
-            raise GatefileError(f"pin {cell}.{pin} not in gatefile")
+            raise UnknownGateError(f"pin {cell}.{pin} not in gatefile")
         return gate_pin.direction
 
     # -- queries ----------------------------------------------------------
@@ -127,7 +131,7 @@ class Gatefile(CellInfoProvider):
         try:
             return self.cells[cell]
         except KeyError:
-            raise GatefileError(f"cell {cell!r} not in gatefile")
+            raise UnknownGateError(f"cell {cell!r} not in gatefile")
 
     def kind(self, cell: str) -> CellKind:
         return self.info(cell).kind

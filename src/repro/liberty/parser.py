@@ -168,11 +168,38 @@ def parse_groups(text: str) -> Group:
 # lowering to the object model
 # ----------------------------------------------------------------------
 
+def _where(group: Group) -> str:
+    return f"{group.name} ({', '.join(group.args)})"
+
+
 def _float(group: Group, name: str, default: float = 0.0) -> float:
     value = group.attributes.get(name)
     if value is None:
         return default
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise LibertyParseError(
+            f"{_where(group)}: attribute {name!r} is not a number: {value!r}"
+        ) from None
+
+
+def _name(group: Group) -> str:
+    """The first argument of a group that names something."""
+    if not group.args:
+        raise LibertyParseError(f"{group.name} group without a name")
+    return group.args[0]
+
+
+def _direction(group: Group) -> PortDirection:
+    text = group.attributes.get("direction", "input")
+    try:
+        return PortDirection(text)
+    except ValueError:
+        raise LibertyParseError(
+            f"{_where(group)}: attribute 'direction' is not input, output "
+            f"or inout: {text!r}"
+        ) from None
 
 
 def _lower_arc(timing: Group, target_pin: str) -> Optional[TimingArc]:
@@ -192,7 +219,7 @@ def _lower_arc(timing: Group, target_pin: str) -> Optional[TimingArc]:
 
 def _lower_cell(group: Group) -> LibraryCell:
     cell = LibraryCell(
-        name=group.args[0],
+        name=_name(group),
         area=_float(group, "area"),
         leakage=_float(group, "cell_leakage_power"),
         switch_energy=_float(group, "internal_energy"),
@@ -213,14 +240,14 @@ def _lower_cell(group: Group) -> LibraryCell:
             preset=seq_group.attributes.get("preset"),
         )
     for pin_group in group.find_all("pin"):
-        pin_name = pin_group.args[0]
-        direction_text = pin_group.attributes.get("direction", "input")
+        pin_name = _name(pin_group)
+        direction = _direction(pin_group)
         pin = cell.pins.get(pin_name)
         if pin is None:
-            pin = LibraryPin(pin_name, PortDirection(direction_text))
+            pin = LibraryPin(pin_name, direction)
             cell.pins[pin_name] = pin
         else:
-            pin.direction = PortDirection(direction_text)
+            pin.direction = direction
         pin.capacitance = _float(pin_group, "capacitance", pin.capacitance)
         if "function" in pin_group.attributes:
             pin.function = pin_group.attributes["function"]
@@ -246,7 +273,7 @@ def lower_library(root: Group) -> Library:
         raise LibertyParseError(f"expected library group, got {root.name!r}")
     corners: Dict[str, OperatingCorner] = {}
     for cond in root.find_all("operating_conditions"):
-        name = cond.args[0]
+        name = _name(cond)
         corners[name] = OperatingCorner(
             name=name,
             derate=_float(cond, "derate", 1.0),

@@ -714,4 +714,6 @@ class CellInfoProvider:
     """
 
     def pin_direction(self, cell: str, pin: str) -> PortDirection:
+        """The direction of ``cell``'s ``pin``; raises a ``LookupError``
+        for a cell or pin the provider does not know."""
         raise NotImplementedError

@@ -1,17 +1,53 @@
 """Gate-level structural Verilog reader and writer.
 
-The desynchronization tool operates on post-synthesis netlists, so only
-the structural subset of Verilog is supported:
+The desynchronization tool operates on post-synthesis netlists, so the
+reader takes the structural subset of Verilog.  After ``//`` and
+``/* */`` comments are stripped, a file reads as::
 
-- module / endmodule with classic or ANSI port lists,
-- ``input`` / ``output`` / ``inout`` / ``wire`` declarations (vectors ok),
-- cell and submodule instantiations with named (``.A(n)``) or positional
-  connections (positional only when the referenced module is known),
-- ``assign a = b;`` aliases and ``assign a = 1'b0/1'b1;`` constants,
-- escaped identifiers (``\\foo.bar ``), ``//`` and ``/* */`` comments.
+    file      := { module | block | directive | any other token }
+    module    := "module" NAME [ "(" [ port { "," port } ] ")" ] ";"
+                 { statement } "endmodule"
+    port      := NAME | DIR [ RANGE ] NAME                  (ANSI)
+    statement := DIR [ RANGE ] DECL { "," DECL } ";"
+               | ( "wire" | "tri" ) [ RANGE ] DECL { "," DECL } ";"
+               | ( "supply0" | "supply1" ) DECL { "," DECL } ";"
+               | "assign" DECL "=" ( CONST | DECL ) ";"
+               | NAME [ "#(" ... ")" ] NAME "(" [ conn { "," conn } ] ")" ";"
+               | block | directive
+    conn      := "." NAME "(" [ CONST | DECL ] ")" | CONST | DECL
+    block     := "specify" ... "endspecify" | "primitive" ... "endprimitive"
+    directive := "`" ... end of line                  (`timescale, `define)
+    DIR       := "input" | "output" | "inout"
+    RANGE     := "[" INT ":" INT "]"
+    DECL      := NAME [ "[" INT "]" ]
+    CONST     := INT "'" ( "b" | "B" ) { "0" | "1" | "x" | "z" | "_" }
 
-Behavioural constructs (always blocks, expressions) are rejected with a
-clear error: the paper's ``drdesync`` also consumes gate-level input only.
+- ``NAME`` is a simple identifier or an escaped one (``\\foo.bar`` up
+  to the next blank), which may hold any other character, ``;``, ``(``,
+  ``)`` and ``,`` included.
+- Vector ports and wires become scalar nets ``name[i]``, MSB first.
+- A named connection binds pin ``NAME``; ``.QN()`` leaves it unbound.
+  A positional one binds ``__pos{n}__`` and marks the instance
+  ``attributes["positional"]``.
+- A constant binds the shared tie net ``__const0__`` or ``__const1__``
+  (its least significant bit).  So does every reference to a
+  ``supply0``/``supply1`` net after its declaration; the pins bound to
+  it before are moved onto the tie net there.
+- Parameter overrides (``#(...)``, up to five levels of parentheses),
+  ``specify``/``primitive`` bodies and compiler directives are skipped.
+- Behavioural constructs (``always``, ``initial``) and concatenations
+  are refused with a :class:`VerilogParseError`, as is any character no
+  token starts with: the paper's ``drdesync`` reads gate-level input
+  only.
+
+The reader matches one statement at a time with a regular expression
+and collects the module as the flat state of
+:data:`~repro.netlist.core.MODULE_STATE_FORMAT`: its ports, an instance
+table, and each net's ``(instance index, pin)`` list in connect order.
+It then builds the module with
+:func:`~repro.netlist.core._module_from_state`, the constructor that
+unpickling uses, so a read module and an unpickled one are built the
+same way and a freshly read module starts with an empty dirty log.
 """
 
 from __future__ import annotations
@@ -19,14 +55,41 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from .core import Module, Netlist, PinRef, PortDirection
+from .core import (
+    MODULE_STATE_FORMAT,
+    Module,
+    Netlist,
+    NetlistError,
+    PortDirection,
+    _module_from_state,
+)
 
 
 class VerilogParseError(Exception):
     """Raised when the input is not acceptable gate-level Verilog."""
 
 
-_TOKEN_RE = re.compile(
+class _Lazy:
+    """A regular expression compiled on first use.  The reader's take
+    several milliseconds to compile, which a process that reads and
+    writes no Verilog, such as a re-run on a filled cache, should not
+    pay on import."""
+
+    def __init__(self, pattern: str, flags: int = 0):
+        self.pattern = pattern
+        self.flags = flags
+
+    def __getattr__(self, name: str):
+        method = getattr(re.compile(self.pattern, self.flags), name)
+        setattr(self, name, method)  # later lookups skip this hook
+        return method
+
+
+_COMMENT_RE = _Lazy(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+#: one token, or one character no token starts with (rejected by
+#: :func:`_is_token`); the reader's unit between modules and in errors
+_TOKEN_RE = _Lazy(
     r"""
     \\[^ \t\r\n]+                  # escaped identifier
   | \d+'[bBdDhH][0-9a-fA-FxXzZ_]+|\d+ # number
@@ -54,7 +117,92 @@ def _is_token(token: str) -> bool:
     return first in _TOKEN_STARTS or first.isdecimal()
 
 
-_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+# -- statement grammar ------------------------------------------------
+# Each piece matches a token one way only: a name or number that could
+# be read shorter is followed by a lookahead wherever the shorter
+# reading could go on to match, so a statement that fails to match
+# fails in linear time.  Simple names come before escaped ones and
+# references before numbers: the common case is tried first.
+_END = r"(?![A-Za-z0-9_$])"
+_ESCAPED = r"\\[^ \t\r\n]+(?![^ \t\r\n])"
+#: a name that a "(", "[", ",", ";", "=" or ")" follows
+_NAME = r"(?:[A-Za-z_$][A-Za-z0-9_$]*|" + _ESCAPED + ")"
+#: a name that another name may follow
+_WORD = r"(?:[A-Za-z_$][A-Za-z0-9_$]*" + _END + "|" + _ESCAPED + ")"
+_NUMBER = (
+    r"(?:\d+(?:'[bBdDhH][0-9a-fA-FxXzZ_]+(?![0-9a-fA-FxXzZ_])|(?![\d'])))"
+)
+_DECL = _NAME + r"(?:\s*\[\s*\d+\s*\])?"
+_DECLS = _DECL + r"(?:\s*,\s*" + _DECL + ")*"
+_REFERENCE = "(?:" + _DECL + "|" + _NUMBER + ")"
+_CONN = (
+    r"(?:\.\s*" + _NAME + r"\s*\(\s*(?:" + _REFERENCE + r"\s*)?\)|"
+    + _REFERENCE + ")"
+)
+_CONNS = r"\s*(?:" + _CONN + r"\s*(?:,\s*" + _CONN + r"\s*)*)?"
+#: range bounds are read loosely and checked by :func:`_range`, so a
+#: bad one is named in the error
+_BOUND = r"[^\s:\[\];]+"
+_RANGE = r"\[\s*(" + _BOUND + r")\s*:\s*(" + _BOUND + r")\s*\]"
+_PARAM_TOKEN = r"(?:\s|" + _WORD + "|" + _NUMBER + r"|[,.:=#*\[\]{}\-])"
+_PARAMS = _PARAM_TOKEN + "*"
+for _ in range(4):
+    _PARAMS = r"(?:" + _PARAM_TOKEN + r"|\(" + _PARAMS + r"\))*"
+_DIRECTION = r"(?:input|output|inout)" + _END
+_PORT = (
+    r"(?:" + _DIRECTION + r"\s*(?:\[\s*" + _BOUND + r"\s*:\s*" + _BOUND
+    + r"\s*\]\s*)?)?(?!" + _DIRECTION + ")" + _NAME
+)
+#: words that open a statement other than an instance
+_KEYWORD = (
+    r"(?:input|output|inout|wire|tri|supply0|supply1|assign|always|initial"
+    r"|endmodule|specify|primitive)" + _END
+)
+
+#: ``NAME [ "(" ports ")" ] ";"`` after ``module``
+_HEADER_RE = _Lazy(
+    r"\s*(" + _NAME + r")\s*(?:\((\s*(?:" + _PORT + r"(?:\s*,\s*" + _PORT
+    + r")*)?\s*)\)\s*)?;"
+)
+#: one header port of a validated list: (direction, msb, lsb, name)
+_PORT_RE = _Lazy(
+    r"(?:(input|output|inout)" + _END + r"\s*(?:" + _RANGE + r"\s*)?)?("
+    + _NAME + ")"
+)
+
+#: one statement of a module body; ``lastindex`` tells which kind
+_STATEMENT_RE = _Lazy(
+    r"\s*(?:(?!" + _KEYWORD + ")(" + _WORD + r")\s*(?:\#\s*\(" + _PARAMS
+    + r"\)\s*)?(" + _NAME + r")\s*\((" + _CONNS + r")\)\s*;"
+    + r"|(input|output|inout|wire|tri)" + _END + r"\s*(?:" + _RANGE
+    + r"\s*)?(" + _DECL + r")((?:\s*,\s*" + _DECL + r")*)\s*;"
+    + r"|assign" + _END + r"\s*(" + _DECL + r")\s*=\s*(" + _REFERENCE
+    + r")\s*;"
+    + r"|supply([01])" + _END + r"\s*(" + _DECLS + r")\s*;"
+    + r"|(endmodule)" + _END
+    + r"|(specify|primitive)" + _END
+    + r"|(`)[^\n]*)"
+)
+# the last group of each kind; groups: instance 1 cell, 2 name, 3
+# connections; declaration 4 keyword, 5-6 range, 7 first name, 8 the
+# rest; assign 9-10; supply 11 value, 12 names; block 14 keyword
+_INSTANCE, _DECLARATION, _ASSIGN, _SUPPLY = 3, 8, 10, 12
+_ENDMODULE, _BLOCK, _DIRECTIVE = 13, 14, 15
+
+_DECL_RE = _Lazy(_DECL)
+_REFERENCE_RE = _Lazy(r"(" + _NAME + r")(?:\s*\[\s*(\d+)\s*\])?")
+#: a reference that names its net as written
+_PLAIN_RE = _Lazy(r"[A-Za-z_$][A-Za-z0-9_$]*(?:\[\d+\])?")
+#: one connection of a validated list: (pin, net) or ("", positional net)
+_CONNECTION_RE = _Lazy(
+    r"\.\s*(" + _NAME + r")\s*\(\s*(" + _REFERENCE + r")?|(" + _REFERENCE
+    + ")"
+)
+_CONST_RE = _Lazy(r"\d+'[bB]([01xXzZ_]+)")
+_BLOCK_END_RE = {
+    block: _Lazy(r"(?<![A-Za-z0-9_$\\])end" + block + _END)
+    for block in ("specify", "primitive")
+}
 
 _DIRECTIONS = {
     "input": PortDirection.INPUT,
@@ -62,303 +210,345 @@ _DIRECTIONS = {
     "inout": PortDirection.INOUT,
 }
 
-_SKIP_KEYWORDS = {"specify", "endspecify", "primitive", "endprimitive"}
+
+def _unescape(name: str) -> str:
+    """An identifier's name: an escaped one loses its backslash."""
+    return name[1:] if name[0] == "\\" else name
 
 
-def tokenize(text: str) -> List[str]:
-    """Split Verilog source into tokens, stripping comments."""
-    text = _COMMENT_RE.sub(" ", text)
-    tokens = _TOKEN_RE.findall(text)
-    if not all(map(_is_token, set(tokens))):
-        for match in _TOKEN_RE.finditer(text):
-            if not _is_token(match.group(0)):
-                raise VerilogParseError(
-                    f"unexpected character {match.group(0)!r} "
-                    f"at offset {match.start()}"
-                )
-    return tokens
+def _canonical(text: str) -> str:
+    """The net name a ``DECL`` text stands for, e.g. ``\\a.b `` ->
+    ``a.b`` and ``w [ 3 ]`` -> ``w[3]``."""
+    name, index = _REFERENCE_RE.fullmatch(text).groups()
+    name = _unescape(name)
+    return name if index is None else f"{name}[{index}]"
 
 
-class _TokenStream:
-    def __init__(self, tokens: List[str]):
-        self._tokens = tokens
-        self._pos = 0
-
-    def peek(self) -> Optional[str]:
-        if self._pos >= len(self._tokens):
-            return None
-        return self._tokens[self._pos]
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise VerilogParseError("unexpected end of input")
-        self._pos += 1
-        return tok
-
-    def expect(self, token: str) -> str:
-        tok = self.next()
-        if tok != token:
-            raise VerilogParseError(f"expected {token!r}, got {tok!r}")
-        return tok
-
-    def accept(self, token: str) -> bool:
-        if self.peek() == token:
-            self._pos += 1
-            return True
-        return False
+def _tie_value(text: str) -> int:
+    """The value a constant ties its pin to: its least significant
+    bit, with ``x`` and ``z`` read as 0."""
+    match = _CONST_RE.fullmatch(text)
+    digits = match.group(1).replace("_", "") if match else ""
+    if not digits:
+        raise VerilogParseError(
+            f"constant {text!r} is not a binary tie-off such as 1'b0"
+        )
+    return 1 if digits[-1] == "1" else 0
 
 
-def _ident(token: str) -> str:
-    """Normalise an identifier token (strip the escape backslash)."""
-    if token.startswith("\\"):
-        return token[1:]
-    return token
-
-
-_CONST_RE = re.compile(r"^(\d+)'[bB]([01xXzZ_]+)$")
-
-
-def _constant_bits(token: str) -> Optional[List[int]]:
-    """Decode ``N'b...`` tokens to a list of bits (MSB first), else None."""
-    match = _CONST_RE.match(token)
-    if match is None:
-        return None
-    width = int(match.group(1))
-    bits_text = match.group(2).replace("_", "")
-    bits = [1 if b == "1" else 0 for b in bits_text]
-    while len(bits) < width:
-        bits.insert(0, bits[0] if bits_text[0] not in "01" else 0)
-    return bits[-width:]
-
-
-class VerilogParser:
-    """Parses one or more modules into a :class:`Netlist`."""
-
-    def __init__(self, text: str):
-        self._stream = _TokenStream(tokenize(text))
-        self.netlist = Netlist()
-
-    def parse(self) -> Netlist:
-        while self._stream.peek() is not None:
-            tok = self._stream.next()
-            if tok == "module":
-                self._parse_module()
-            elif tok in _SKIP_KEYWORDS:
-                self._skip_until("end" + tok)
-            elif tok == "`timescale":
-                self._skip_line()
-            # stray tokens between modules are tolerated
-        return self.netlist
-
-    # ------------------------------------------------------------------
-    def _skip_until(self, terminator: str) -> None:
-        while True:
-            tok = self._stream.next()
-            if tok == terminator:
-                return
-
-    def _skip_line(self) -> None:
-        # tokens have no line info; consume until next ';' heuristically
-        while self._stream.peek() not in (None, ";"):
-            self._stream.next()
-        self._stream.accept(";")
-
-    # ------------------------------------------------------------------
-    def _parse_module(self) -> None:
-        stream = self._stream
-        name = _ident(stream.next())
-        module = Module(name)
-        declared_order: List[str] = []
-
-        if stream.accept("("):
-            declared_order = self._parse_header_ports(module)
-        stream.expect(";")
-
-        while True:
-            tok = stream.next()
-            if tok == "endmodule":
-                break
-            if tok in _DIRECTIONS:
-                self._parse_direction_decl(module, _DIRECTIONS[tok])
-            elif tok in ("wire", "tri"):
-                self._parse_wire_decl(module)
-            elif tok in ("supply0", "supply1"):
-                value = 1 if tok == "supply1" else 0
-                for net_name in self._parse_name_list():
-                    const = module.constant_net(value)
-                    module.ensure_net(net_name)
-                    module.merge_nets(const.name, net_name)
-            elif tok == "assign":
-                self._parse_assign(module)
-            elif tok in _SKIP_KEYWORDS:
-                self._skip_until("end" + tok)
-            elif tok in ("always", "initial"):
-                raise VerilogParseError(
-                    f"behavioural construct {tok!r} in module {name!r}: "
-                    "only gate-level netlists are supported"
-                )
-            else:
-                self._parse_instance(module, cell=_ident(tok))
-
-        module.attributes["port_order"] = declared_order
-        self.netlist.add_module(module)
-
-    def _parse_header_ports(self, module: Module) -> List[str]:
-        """Parse the ``( ... )`` header, returning declared port order."""
-        stream = self._stream
-        order: List[str] = []
-        if stream.accept(")"):
-            return order
-        while True:
-            tok = stream.peek()
-            if tok in _DIRECTIONS:  # ANSI style
-                stream.next()
-                direction = _DIRECTIONS[tok]
-                msb, lsb = self._maybe_range()
-                port_name = _ident(stream.next())
-                module.add_port(port_name, direction, msb, lsb)
-                order.append(port_name)
-            else:
-                order.append(_ident(stream.next()))
-            if stream.accept(")"):
-                return order
-            stream.expect(",")
-
-    def _maybe_range(self) -> Tuple[Optional[int], Optional[int]]:
-        stream = self._stream
-        if not stream.accept("["):
-            return None, None
-        msb = int(stream.next())
-        stream.expect(":")
-        lsb = int(stream.next())
-        stream.expect("]")
-        return msb, lsb
-
-    def _parse_name_list(self) -> List[str]:
-        stream = self._stream
-        names = [self._decl_name()]
-        while stream.accept(","):
-            names.append(self._decl_name())
-        stream.expect(";")
-        return names
-
-    def _decl_name(self) -> str:
-        """A declared name, optionally a single-bit select (``w[3]``):
-        our writer emits bus-member nets as individual scalar wires."""
-        name = _ident(self._stream.next())
-        if self._stream.accept("["):
-            index = self._stream.next()
-            self._stream.expect("]")
-            name = f"{name}[{index}]"
-        return name
-
-    def _parse_direction_decl(
-        self, module: Module, direction: PortDirection
-    ) -> None:
-        msb, lsb = self._maybe_range()
-        for name in self._parse_name_list():
-            if name in module.ports:
-                port = module.ports[name]
-                port.direction = direction
-                port.msb, port.lsb = msb, lsb
-                for bit in port.bit_names():
-                    # a pin set: re-declaring a port adds no second pin
-                    net = module.ensure_net(bit)
-                    net.connections[PinRef(None, bit)] = None
-            else:
-                module.add_port(name, direction, msb, lsb)
-
-    def _parse_wire_decl(self, module: Module) -> None:
-        msb, lsb = self._maybe_range()
-        for name in self._parse_name_list():
-            if msb is None:
-                module.ensure_net(name)
-            else:
-                step = -1 if msb >= lsb else 1
-                for i in range(msb, lsb + step, step):
-                    module.ensure_net(f"{name}[{i}]")
-
-    def _parse_assign(self, module: Module) -> None:
-        stream = self._stream
-        lhs = self._parse_net_ref(module)
-        stream.expect("=")
-        rhs_tok = stream.peek()
-        bits = _constant_bits(rhs_tok) if rhs_tok else None
-        if bits is not None:
-            stream.next()
-            rhs = module.constant_net(bits[-1]).name
-        else:
-            rhs = self._parse_net_ref(module)
-        stream.expect(";")
-        module.ensure_net(lhs)
-        module.ensure_net(rhs)
-        module.assigns.append((lhs, rhs))
-
-    def _parse_net_ref(self, module: Module) -> str:
-        """Parse a scalar net reference, e.g. ``n1`` or ``data[3]``."""
-        stream = self._stream
-        name = _ident(stream.next())
-        if stream.accept("["):
-            index = stream.next()
-            stream.expect("]")
-            name = f"{name}[{index}]"
-        return name
-
-    def _parse_instance(self, module: Module, cell: str) -> None:
-        stream = self._stream
-        if stream.accept("#"):  # parameter override, skip balanced parens
-            stream.expect("(")
-            depth = 1
-            while depth:
-                tok = stream.next()
-                if tok == "(":
-                    depth += 1
-                elif tok == ")":
-                    depth -= 1
-        inst_name = _ident(stream.next())
-        stream.expect("(")
-        inst = module.add_instance(inst_name, cell)
-        if stream.accept(")"):
-            stream.expect(";")
-            return
-        position = 0
-        while True:
-            if stream.accept("."):
-                pin = _ident(stream.next())
-                stream.expect("(")
-                if stream.peek() == ")":  # unconnected pin
-                    stream.next()
-                else:
-                    net = self._connection_net(module)
-                    stream.expect(")")
-                    module.connect(inst_name, pin, net)
-            else:
-                net = self._connection_net(module)
-                module.connect(inst_name, f"__pos{position}__", net)
-                inst.attributes["positional"] = True
-                position += 1
-            if stream.accept(")"):
-                break
-            stream.expect(",")
-        stream.expect(";")
-
-    def _connection_net(self, module: Module) -> str:
-        tok = self._stream.peek()
-        if tok == "{":
+def _range(msb: str, lsb: str, module: str) -> Tuple[Optional[int], ...]:
+    if not msb:
+        return None, None
+    for bound in (msb, lsb):
+        if not bound.isdecimal():
             raise VerilogParseError(
-                "concatenations in port connections are not supported"
+                f"range [{msb}:{lsb}] in module {module!r}: "
+                f"bound {bound!r} is not a number"
             )
-        bits = _constant_bits(tok) if tok else None
-        if bits is not None:
-            self._stream.next()
-            return module.constant_net(bits[-1]).name
-        return self._parse_net_ref(module)
+    return int(msb), int(lsb)
+
+
+def _bits(name: str, msb: Optional[int], lsb: Optional[int]) -> List[str]:
+    """The scalar nets of ``name`` declared over ``[msb:lsb]``."""
+    if msb is None:
+        return [name]
+    step = -1 if msb >= lsb else 1
+    return [f"{name}[{i}]" for i in range(msb, lsb + step, step)]
+
+
+class _ModuleState:
+    """One module as it is read, kept as the parts of its flat state."""
+
+    def __init__(self, name: str):
+        self.name = name
+        #: port name -> [name, direction, msb, lsb]
+        self.ports: Dict[str, list] = {}
+        self.port_order: List[str] = []
+        #: instance names and (cell, {pin: net}, attributes), in order
+        self.names: List[str] = []
+        self.instances: List[tuple] = []
+        #: net -> [(instance index, or -1 for a port bit, pin)], nets in
+        #: first-reference order and pins in connect order
+        self.nets: Dict[str, List[Tuple[int, str]]] = {}
+        #: tie net -> value
+        self.constants: Dict[str, int] = {}
+        #: supply net -> the tie net its references bind to
+        self.aliases: Dict[str, str] = {}
+        self.assigns: List[Tuple[str, str]] = []
+        #: reference text -> the net it binds (a cache of :meth:`net`)
+        self.resolved: Dict[str, str] = {}
+
+    def net(self, text: str) -> str:
+        """The net a ``CONST`` or ``DECL`` text binds, remembered."""
+        if _PLAIN_RE.fullmatch(text):
+            net = self.aliases.get(text, text)
+        elif text[0].isdecimal():
+            value = _tie_value(text)
+            net = f"__const{value}__"
+            self.constants[net] = value
+        else:
+            net = _canonical(text)
+            net = self.aliases.get(net, net)
+        self.resolved[text] = net
+        return net
+
+    def ensure(self, net: str) -> None:
+        if net not in self.nets:
+            self.nets[net] = []
+
+    def add_port(self, name, direction, msb, lsb) -> None:
+        if name in self.ports:
+            raise NetlistError(
+                f"duplicate port {name!r} in module {self.name!r}"
+            )
+        self.ports[name] = [name, direction, msb, lsb]
+        self._attach_port(name)
+
+    def _attach_port(self, name: str) -> None:
+        _, _, msb, lsb = self.ports[name]
+        for bit in _bits(name, msb, lsb):
+            pins = self.nets.setdefault(bit, [])
+            if (-1, bit) not in pins:
+                pins.append((-1, bit))
+
+    def declare(self, keyword, msb, lsb, first: str, rest: str) -> None:
+        """A direction, ``wire`` or ``tri`` declaration of ``first`` and
+        the names in ``rest``."""
+        texts = (first, *_DECL_RE.findall(rest)) if rest else (first,)
+        msb, lsb = _range(msb, lsb, self.name)
+        direction = _DIRECTIONS.get(keyword)
+        for text in texts:
+            if direction is None:
+                if msb is None:
+                    self.ensure(self.resolved.get(text) or self.net(text))
+                    continue
+                for bit in _bits(_canonical(text), msb, lsb):
+                    self.ensure(self.aliases.get(bit, bit))
+                continue
+            name = _canonical(text)
+            port = self.ports.get(name)
+            if port is None:
+                self.add_port(name, direction, msb, lsb)
+            else:  # re-declared: a new direction and range, no new pins
+                port[1:] = direction, msb, lsb
+                self._attach_port(name)
+
+    def supply(self, value: int, names: str) -> None:
+        """Tie each declared net to ``value``: its pins move onto the
+        tie net, and later references bind to the tie net."""
+        tie = f"__const{value}__"
+        for text in _DECL_RE.findall(names):
+            name = _canonical(text)
+            self.constants[tie] = value
+            self.ensure(tie)
+            self.ensure(name)
+            if name == tie:
+                continue
+            moved = self.nets.pop(name)
+            for owner, pin in moved:
+                if owner < 0:
+                    raise NetlistError(
+                        f"cannot merge port net {name!r} into {tie!r}"
+                    )
+                self.instances[owner][1][pin] = tie
+            self.nets[tie].extend(moved)
+            self.constants.pop(name, None)
+            self.aliases[name] = tie
+            self.assigns = [
+                (tie if lhs == name else lhs, tie if rhs == name else rhs)
+                for lhs, rhs in self.assigns
+            ]
+            self.resolved.clear()
+
+    def assign(self, lhs: str, rhs: str) -> None:
+        lhs_net = self.net(lhs)
+        rhs_net = self.net(rhs)
+        if rhs[0].isdecimal():  # the tie net is referenced first
+            self.ensure(rhs_net)
+        self.ensure(lhs_net)
+        self.ensure(rhs_net)
+        self.assigns.append((lhs_net, rhs_net))
+
+    def disconnect(self, index: int, pin: str) -> None:
+        """Unbind a pin bound twice in one instance (the later wins)."""
+        pins = self.instances[index][1]
+        self.nets[pins.pop(pin)].remove((index, pin))
+
+    def build(self) -> Module:
+        if len(set(self.names)) != len(self.names):
+            seen: set = set()
+            for name in self.names:
+                if name in seen:
+                    raise NetlistError(
+                        f"duplicate instance {name!r} in {self.name!r}"
+                    )
+                seen.add(name)
+        constants = self.constants
+        return _module_from_state(
+            MODULE_STATE_FORMAT,
+            self.name,
+            [tuple(port) for port in self.ports.values()],
+            self.names,
+            self.instances,
+            [
+                (net, pins, constants.get(net))
+                for net, pins in self.nets.items()
+            ],
+            self.assigns,
+            {"port_order": self.port_order},
+            0,
+        )
+
+
+def _read_module(text: str, pos: int) -> Tuple[Module, int]:
+    """Read the module whose ``module`` keyword ends at ``pos``; returns
+    it and the position after its ``endmodule``."""
+    header = _HEADER_RE.match(text, pos)
+    if header is None:
+        raise _statement_error(text, pos, None)
+    name, ports = header.groups()
+    state = _ModuleState(_unescape(name))
+    for direction, msb, lsb, port in _PORT_RE.findall(ports or ""):
+        port = _unescape(port)
+        if direction:
+            state.add_port(
+                port, _DIRECTIONS[direction], *_range(msb, lsb, state.name)
+            )
+        state.port_order.append(port)
+    pos = header.end()
+
+    statement = _STATEMENT_RE.match
+    connections = _CONNECTION_RE.findall
+    resolved = state.resolved
+    net_of = state.net
+    nets = state.nets
+    names = state.names
+    instances = state.instances
+    while True:
+        match = statement(text, pos)
+        if match is None:
+            raise _statement_error(text, pos, state.name)
+        pos = match.end()
+        kind = match.lastindex
+        if kind == _INSTANCE:
+            cell, inst, conns = match.group(1, 2, 3)
+            index = len(names)
+            names.append(_unescape(inst))
+            pins: Dict[str, str] = {}
+            attributes: Dict[str, object] = {}
+            instances.append((_unescape(cell), pins, attributes))
+            position = 0
+            for pin, named, positional in connections(conns):
+                if pin:
+                    if not named:
+                        continue  # .QN(): left unbound
+                    net = resolved.get(named) or net_of(named)
+                    if pin[0] == "\\":
+                        pin = pin[1:]
+                    if pin in pins:
+                        state.disconnect(index, pin)
+                else:
+                    net = resolved.get(positional) or net_of(positional)
+                    pin = f"__pos{position}__"
+                    position += 1
+                    attributes["positional"] = True
+                pins[pin] = net
+                bound = nets.get(net)
+                if bound is None:
+                    nets[net] = [(index, pin)]
+                else:
+                    bound.append((index, pin))
+        elif kind == _DECLARATION:
+            state.declare(*match.group(4, 5, 6, 7, 8))
+        elif kind == _ENDMODULE:
+            return state.build(), pos
+        elif kind == _ASSIGN:
+            state.assign(*match.group(9, 10))
+        elif kind == _SUPPLY:
+            state.supply(int(match.group(11)), match.group(12))
+        elif kind == _BLOCK:
+            pos = _skip_block(text, match.group(14), pos)
+        # a directive (kind == _DIRECTIVE) runs to the end of its line
+
+
+def _skip_block(text: str, block: str, pos: int) -> int:
+    """The position after the ``end<block>`` closing a block at ``pos``."""
+    end = _BLOCK_END_RE[block].search(text, pos)
+    if end is None:
+        raise VerilogParseError("unexpected end of input")
+    return end.end()
+
+
+def _statement_error(
+    text: str, pos: int, module: Optional[str]
+) -> VerilogParseError:
+    """The error for the statement at ``pos`` that no rule reads."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text, pos):
+        tokens.append(match.group())
+        if tokens[-1] == ";":
+            break
+    if module is None:
+        what = "module header"
+    elif tokens and tokens[0] in ("always", "initial"):
+        return VerilogParseError(
+            f"behavioural construct {tokens[0]!r} in module {module!r}: "
+            "only gate-level netlists are supported"
+        )
+    elif "{" in tokens:
+        return VerilogParseError(
+            "concatenations in port connections are not supported"
+        )
+    else:
+        what = f"statement in module {module!r}"
+    if not tokens or tokens[-1] != ";":
+        return VerilogParseError("unexpected end of input")
+    return VerilogParseError(f"cannot read {what}: {' '.join(tokens)!r}")
+
+
+def _next_token(text: str, pos: int) -> Tuple[Optional[str], int]:
+    """The next file-level token at or after ``pos`` and the position
+    after it, or ``(None, len(text))`` at the end.  Directives and
+    ``specify``/``primitive`` blocks are skipped; a character no token
+    starts with raises."""
+    while True:
+        match = _TOKEN_RE.search(text, pos)
+        if match is None:
+            return None, len(text)
+        token = match.group()
+        pos = match.end()
+        if token == "`":
+            newline = text.find("\n", pos)
+            pos = len(text) if newline < 0 else newline
+        elif token in _BLOCK_END_RE:
+            pos = _skip_block(text, token, pos)
+        elif not _is_token(token):
+            raise VerilogParseError(
+                f"unexpected character {token!r} at offset {match.start()}"
+            )
+        else:
+            return token, pos
 
 
 def parse_verilog(text: str) -> Netlist:
     """Parse gate-level Verilog source text into a :class:`Netlist`."""
-    return VerilogParser(text).parse()
+    text = _COMMENT_RE.sub(" ", text)
+    netlist = Netlist()
+    try:
+        token, pos = _next_token(text, 0)
+        while token is not None:  # tokens between modules are skipped
+            if token == "module":
+                module, pos = _read_module(text, pos)
+                netlist.add_module(module)
+            token, pos = _next_token(text, pos)
+    except (VerilogParseError, NetlistError):
+        # a character no token starts with is reported first, wherever
+        # it is, as when the whole file was tokenized up front
+        token, pos = _next_token(text, 0)
+        while token is not None:
+            token, pos = _next_token(text, pos)
+        raise
+    return netlist
 
 
 def read_verilog(path: str) -> Netlist:
@@ -370,34 +560,51 @@ def read_verilog(path: str) -> Netlist:
 # writer
 # ----------------------------------------------------------------------
 
-_SIMPLE_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
-_BIT_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*\[\d+\]$")
+_SIMPLE_ID = r"[A-Za-z_][A-Za-z0-9_$]*(?:\[\d+\])?"
+_SIMPLE_ID_RE = _Lazy("^" + _SIMPLE_ID + "$")
+_SIMPLE_IDS_RE = _Lazy(_SIMPLE_ID + r"(?:\0" + _SIMPLE_ID + ")*")
 
 
-def _emit_id(name: str) -> str:
-    if _SIMPLE_ID_RE.match(name) or _BIT_ID_RE.match(name):
-        return name
-    return f"\\{name} "
+class _Identifiers(dict):
+    """Name -> its Verilog spelling, escaped unless it is a simple
+    (optionally bit-selected) identifier; each name is looked at once.
+
+    ``groups`` of names are checked in one match each: when all of a
+    group's names are simple, as after name cleaning, they go in as
+    they are."""
+
+    def __init__(self, *groups):
+        super().__init__()
+        for names in groups:
+            names = list(names)
+            if _SIMPLE_IDS_RE.fullmatch("\0".join(names)):
+                self.update(zip(names, names))
+
+    def __missing__(self, name: str) -> str:
+        spelled = name if _SIMPLE_ID_RE.match(name) else f"\\{name} "
+        self[name] = spelled
+        return spelled
 
 
 def write_module(module: Module) -> str:
     """Render one module as structural Verilog text."""
+    ids = _Identifiers(module.nets, module.instances)
     lines: List[str] = []
     port_names = list(module.ports)
     lines.append(
-        f"module {_emit_id(module.name)} ("
-        + ", ".join(_emit_id(p) for p in port_names)
+        f"module {ids[module.name]} ("
+        + ", ".join([ids[p] for p in port_names])
         + ");"
     )
     for port in module.ports.values():
         rng = f" [{port.msb}:{port.lsb}]" if port.is_vector else ""
-        lines.append(f"  {port.direction.value}{rng} {_emit_id(port.name)};")
+        lines.append(f"  {port.direction.value}{rng} {ids[port.name]};")
 
     port_bits = set(module.port_bits())
     for net in module.nets.values():
         if net.name in port_bits or net.is_constant:
             continue
-        lines.append(f"  wire {_emit_id(net.name)};")
+        lines.append(f"  wire {ids[net.name]};")
     for value in (0, 1):
         const_name = f"__const{value}__"
         if const_name in module.nets and module.nets[const_name].connections:
@@ -405,16 +612,14 @@ def write_module(module: Module) -> str:
             lines.append(f"  assign {const_name} = 1'b{value};")
 
     for lhs, rhs in module.assigns:
-        lines.append(f"  assign {_emit_id(lhs)} = {_emit_id(rhs)};")
+        lines.append(f"  assign {ids[lhs]} = {ids[rhs]};")
 
     for inst in module.instances.values():
+        pins = inst.pins
         conns = ", ".join(
-            f".{_emit_id(pin)}({_emit_id(net)})"
-            for pin, net in sorted(inst.pins.items())
+            [f".{ids[pin]}({ids[pins[pin]]})" for pin in sorted(pins)]
         )
-        lines.append(
-            f"  {_emit_id(inst.cell)} {_emit_id(inst.name)} ({conns});"
-        )
+        lines.append(f"  {ids[inst.cell]} {ids[inst.name]} ({conns});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 

@@ -169,3 +169,20 @@ def test_gatefile_text_round_trip(hs_library):
         assert back.async_clear == rule.async_clear
     assert again.info("SDFFX1").is_scan
     assert again.pin_direction("NAND2X1", "Z") == PortDirection.OUTPUT
+
+
+def test_malformed_values_name_the_group_and_attribute(hs_library):
+    from repro.liberty.parser import LibertyParseError
+
+    text = write_liberty(hs_library)
+    for bad, message in [
+        (text.replace("area : ", "area : abc", 1),
+         r"cell \(\w+\): attribute 'area' is not a number: 'abc"),
+        (text.replace("direction : input", "direction : inpt", 1),
+         r"pin \(\w+\): attribute 'direction' is not input, output or "
+         r"inout: 'inpt'"),
+        (text.replace("cell (INVX1)", "cell ()", 1),
+         r"cell group without a name"),
+    ]:
+        with pytest.raises(LibertyParseError, match=message):
+            parse_liberty(bad)
