@@ -1,13 +1,14 @@
 """Per-job trace overhead gate + trace-registry soak for the service.
 
-Every daemon job runs in its own observability context with a span
-tracer (ring bounded, mirrored into the job's journal).  This measures
-what that tracer costs: warm re-runs of one job body --
-:func:`repro.service.execute_job` on a shared, already-filled artifact
-cache -- alternate in paired rounds between an arm whose context has
-tracing off and an arm under
-``use(Context(tracer=Tracer(journal=..., max_spans=..., trace_id=...)))``,
-exactly the tracer the daemon enters on its worker threads.  Which
+Every daemon job runs in its own observability context with a
+ring-bounded span tracer; the job's journal records its stage
+boundaries, not its spans.  This measures what that tracer costs: warm
+re-runs of the daemon's job body -- :func:`repro.service.execute_job`,
+which on a shared, already-filled artifact cache reads the cached
+export texts and builds no netlist -- alternate in paired rounds
+between an arm whose context has tracing off and an arm under
+``use(Context(tracer=Tracer(max_spans=..., trace_id=...)))``, exactly
+the tracer the daemon enters on its worker threads.  Which
 arm goes first flips every round, and every timed job starts from a
 collected heap: without the collection, whether a job ran first or
 second in its pair moved its median time by up to ~2 ms, about the
@@ -60,10 +61,10 @@ from repro.service import (  # noqa: E402
     make_server,
 )
 
-# A/B arm: the reduced DLX fixture.  Its ~40 ms warm latency keeps a
-# 5% bound (~2 ms) well clear of the tracing cost of a warm job's
-# handful of spans; the counter design (~5 ms warm) drowns the signal
-# in scheduler noise.
+# A/B arm: the reduced DLX fixture.  A warm job reads only the cached
+# export texts, ~1.5 ms on a 2-vCPU host, so the 5% bound is ~70 us
+# against the tracing cost of its nine spans (one per stage lookup and
+# one for the run); 100 paired rounds resolve that.
 AB_SPEC = {
     "design": "dlx",
     "params": {"registers": 8, "multiplier": False, "width": 16},
@@ -89,9 +90,7 @@ def _timed_job(spec: JobSpec, library, cache, run_dir: str,
         os.path.join(run_dir, f"{trace_id}.jsonl"), trace_id=trace_id
     )
     context = (
-        Context(tracer=Tracer(
-            journal=journal, max_spans=MAX_TRACE_SPANS, trace_id=trace_id
-        ))
+        Context(tracer=Tracer(max_spans=MAX_TRACE_SPANS, trace_id=trace_id))
         if traced
         else Context()
     )

@@ -56,24 +56,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import hashlib
 import logging
 import os
 import sys
 from typing import Any, Dict, List, Optional
 
 from . import __version__
-from .desync.tool import (
-    EXPORT_ARTIFACTS,
-    RESULT_ARTIFACTS,
-    DesyncOptions,
-    Drdesync,
-    export_outputs,
-    export_stage,
-)
-from .engine.cache import ArtifactCache, DeferredArtifact, stable_hash
+from .desync.tool import DesyncOptions, Drdesync, verilog_source_key
+from .engine.cache import ArtifactCache, DeferredArtifact
 from .engine.executor import FlowEngine
-from .engine.graph import FlowGraph
 from .engine.journal import RunJournal
 from .liberty.core9 import core9_hs, core9_ll
 from .liberty.parser import read_liberty
@@ -351,53 +342,18 @@ def _read_input(args: argparse.Namespace) -> Module:
 
 
 def _input_artifact(args: argparse.Namespace) -> DeferredArtifact:
-    """The input netlist, parsed only if the ``import`` stage runs.
-
-    Keyed on the file's bytes and ``--top`` (``stable_hash`` adds the
-    cache schema): equal bytes parse to equal netlists for as long as
-    the Verilog reader's output stays the same.  The tag names the
-    reader's revision: ``/2`` ties supply nets' later references and
-    skips directives and ``specify`` paths.
-    """
+    """The input netlist, parsed only if the ``import`` stage runs and
+    keyed on the file's bytes and ``--top``."""
     with open(args.input, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()
+        source = handle.read()
     return DeferredArtifact(
-        lambda: _read_input(args),
-        stable_hash(("verilog-file/2", digest, args.top)),
+        lambda: _read_input(args), verilog_source_key(source, args.top)
     )
-
-
-def _convert(args: argparse.Namespace, tool: Drdesync, options):
-    """Run the stage graph ending in ``export``; returns (result,
-    exported outputs).
-
-    Only the exported texts are read back, so a run whose every stage
-    hits the cache loads no netlist snapshot.  ``--vcd`` and
-    ``--handshake-report`` simulate the result and load it too.
-    """
-    graph = FlowGraph("drdesync")
-    graph.add_stages(tool.build_stages(options))
-    graph.add(export_stage(blif=bool(args.blif)))
-    observe = bool(args.vcd or args.handshake_report)
-    run = tool.engine.run(
-        graph,
-        initial={"module.input": _input_artifact(args)},
-        label=f"drdesync:{os.path.basename(args.input)}",
-        load=EXPORT_ARTIFACTS + (RESULT_ARTIFACTS if observe else ()),
-    )
-    run.raise_first_failure()
-    outputs = {name: run.artifacts[name] for name in EXPORT_ARTIFACTS}
-    result = None
-    if observe:
-        result = tool.assemble_result(
-            run.artifacts["module.network"], run.artifacts
-        )
-    return result, outputs
 
 
 def _run_eco(args: argparse.Namespace, library, options):
     """Run the flow through an incremental session, then apply the
-    ``--eco`` edits; returns (result, exported outputs)."""
+    ``--eco`` edits; returns (exported outputs, result)."""
     from .flow.incremental import IncrementalSession, load_edits
 
     edits = load_edits(args.eco)
@@ -420,15 +376,7 @@ def _run_eco(args: argparse.Namespace, library, options):
             if outcome.report.get("error")
             else "",
         )
-    outputs = export_outputs(
-        result.module,
-        result.sdc,
-        result.network,
-        result.region_map,
-        result.substitution,
-        blif=bool(args.blif),
-    )
-    return result, outputs
+    return result.outputs(blif=bool(args.blif)), result
 
 
 def _write_outputs(
@@ -486,13 +434,11 @@ def _run_flow(args: argparse.Namespace) -> int:
     journal = RunJournal(args.journal) if args.journal else RunJournal()
     engine = FlowEngine(cache=cache, journal=journal)
 
-    # observability is opt-in: spans mirror into the run journal so one
-    # artifact carries both the stage records and the timing tree
+    # observability is opt-in; spans go to the --trace file, while the
+    # journal keeps one line per stage boundary
     observers: Dict[str, Any] = {}
     if args.trace:
-        observers["tracer"] = trace.Tracer(
-            journal=journal if args.journal else None
-        )
+        observers["tracer"] = trace.Tracer()
     if args.metrics:
         observers["registry"] = metrics.MetricsRegistry()
     if args.profile or args.profile_out:
@@ -508,9 +454,17 @@ def _run_flow(args: argparse.Namespace) -> int:
     try:
         with use(Context(**observers)) as context:
             if args.eco:
-                result, outputs = _run_eco(args, library, options)
+                outputs, result = _run_eco(args, library, options)
             else:
-                result, outputs = _convert(args, tool, options)
+                # --vcd and --handshake-report simulate the result, so
+                # only they load it
+                outputs, result = tool.convert(
+                    _input_artifact(args),
+                    options,
+                    label=f"drdesync:{os.path.basename(args.input)}",
+                    blif=bool(args.blif),
+                    result=bool(args.vcd or args.handshake_report),
+                )
             _write_outputs(args, tool, outputs)
             summary = outputs["summary"]
 

@@ -48,15 +48,6 @@ class Region:
             if gatefile.info(module.instances[name].cell).is_sequential
         ]
 
-    def combinational_instances(
-        self, module: Module, gatefile: Gatefile
-    ) -> List[str]:
-        return [
-            name
-            for name in sorted(self.instances)
-            if not gatefile.info(module.instances[name].cell).is_sequential
-        ]
-
 
 @dataclass
 class RegionMap:

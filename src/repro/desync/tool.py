@@ -17,6 +17,7 @@ netlist, ready for the backend, exactly like the paper's C tool.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
@@ -104,6 +105,13 @@ class DesyncResult:
             self.module, self.region_map, self.substitution, self.network
         )
 
+    def outputs(self, blif: bool = False) -> Dict[str, Any]:
+        """:func:`export_outputs` of this result."""
+        return export_outputs(
+            self.module, self.sdc, self.network, self.region_map,
+            self.substitution, self.import_stats, blif=blif,
+        )
+
 
 def result_summary(
     module: Module,
@@ -140,7 +148,7 @@ RESULT_ARTIFACTS = (
 
 #: what :func:`export_outputs` returns and :func:`export_stage`
 #: publishes: the output texts (``blif`` is None unless asked for) and
-#: the summary the CLI logs
+#: the conversion's summary
 EXPORT_ARTIFACTS = ("verilog", "sdc.text", "blif", "summary")
 
 
@@ -150,13 +158,15 @@ def export_outputs(
     network: ControlNetwork,
     region_map: RegionMap,
     substitution: SubstitutionResult,
+    import_stats: Dict[str, int],
     blif: bool = False,
 ) -> Dict[str, Any]:
     """Design export (step 7): the output texts plus the summary.
 
     ``summary`` holds the design name, the :func:`result_summary`
-    counts and one ``(region, cloud delay, delay-element levels)`` row
-    per region with a delay element.
+    counts, the import and cleaning statistics, the cloud delay of
+    every region, and one ``(region, cloud delay, delay-element
+    levels)`` row per region with a delay element.
     """
     rows = [
         (region, delay, network.delay_elements[region].length)
@@ -172,6 +182,8 @@ def export_outputs(
             "counts": result_summary(
                 module, region_map, substitution, network
             ),
+            "import_stats": dict(import_stats),
+            "region_delays": dict(sorted(network.region_delays.items())),
             "delay_elements": rows,
         },
     }
@@ -195,12 +207,26 @@ def export_stage(blif: bool = False) -> "Stage":
     return Stage(
         name="export",
         func=lambda a: export_outputs(
-            *(a[name] for name in inputs), blif=blif
+            *(a[name] for name in inputs),
+            {**a["import_stats"], **a["clean_stats"]},
+            blif=blif,
         ),
-        inputs=inputs,
+        inputs=inputs + ("import_stats", "clean_stats"),
         outputs=EXPORT_ARTIFACTS,
         params={"blif": blif},
+        version="2",  # v2: the summary carries import stats and delays
     )
+
+
+def verilog_source_key(source: bytes, top: Optional[str]) -> str:
+    """The fingerprint of a netlist given as Verilog bytes: equal bytes
+    parse to equal netlists while the reader's output stays the same.
+    The tag names the reader's revision (``/2`` ties supply nets' later
+    references and skips directives and ``specify`` paths)."""
+    from ..engine.cache import stable_hash
+
+    digest = hashlib.sha256(source).hexdigest()
+    return stable_hash(("verilog-file/2", digest, top))
 
 
 class Drdesync:
@@ -296,23 +322,53 @@ class Drdesync:
             import_stats=import_stats,
         )
 
+    def convert(
+        self,
+        source: Any,
+        options: Optional[DesyncOptions] = None,
+        label: str = "drdesync",
+        blif: bool = False,
+        result: bool = False,
+    ) -> Tuple[Dict[str, Any], Optional[DesyncResult]]:
+        """Convert ``source`` (a netlist, or a
+        :class:`~repro.engine.cache.DeferredArtifact` building it if the
+        ``import`` stage runs) and export it; returns (outputs, result).
+
+        Only :data:`EXPORT_ARTIFACTS` are read back, so a run whose every
+        stage hits the cache loads no netlist; ``result`` also loads the
+        final netlist and assembles the :class:`DesyncResult`.
+        """
+        load = EXPORT_ARTIFACTS + (RESULT_ARTIFACTS if result else ())
+        artifacts = self._run_graph(source, options, label, load, blif)
+        outputs = {name: artifacts[name] for name in EXPORT_ARTIFACTS}
+        if not result:
+            return outputs, None
+        final = artifacts["module.network"]
+        return outputs, self.assemble_result(final, artifacts)
+
     def run(
         self, module: Module, options: Optional[DesyncOptions] = None
     ) -> DesyncResult:
         """Desynchronize ``module`` in place and return the result."""
+        label = f"drdesync:{module.name}"
+        artifacts = self._run_graph(module, options, label, RESULT_ARTIFACTS)
+        return self.assemble_result(module, artifacts)
+
+    def _run_graph(self, source, options, label, load, blif=None):
+        """Run the section 3.2 stages on ``source``, plus
+        :func:`export_stage` unless ``blif`` is None; returns the
+        artifacts, ``load`` among them already loaded."""
         from ..engine.graph import FlowGraph
 
-        options = options or DesyncOptions()
         graph = FlowGraph("drdesync")
         graph.add_stages(self.build_stages(options))
-        result = self.engine.run(
-            graph,
-            initial={"module.input": module},
-            label=f"drdesync:{module.name}",
-            load=RESULT_ARTIFACTS,
+        if blif is not None:
+            graph.add(export_stage(blif=blif))
+        run = self.engine.run(
+            graph, initial={"module.input": source}, label=label, load=load
         )
-        result.raise_first_failure()
-        return self.assemble_result(module, result.artifacts)
+        run.raise_first_failure()
+        return run.artifacts
 
 
 def desynchronize(

@@ -326,10 +326,13 @@ class ArtifactCache:
     advisory ``.lock`` file additionally serialises ``put``/``clear``
     across *processes*, so daemon workers can share ``.repro_cache/``.
 
-    ``max_bytes`` caps the on-disk size: after every store, entries are
-    evicted least-recently-used first (manifest mtime; hits touch the
-    manifest) until the cache fits.  The entry just written survives
-    even when it alone exceeds the cap.
+    ``max_bytes`` caps the on-disk size: once a store takes the cache
+    past it, entries are evicted least-recently-used first (manifest
+    mtime; hits touch the manifest) until the cache fits.  The entry
+    just written survives even when it alone exceeds the cap.  A walk
+    at the first store sizes the cache and later stores add what they
+    write, so a store under the cap walks nothing; writes by other
+    processes sharing the directory are seen at the next walk.
     """
 
     def __init__(
@@ -340,6 +343,8 @@ class ArtifactCache:
         self.directory = os.path.abspath(directory)
         self.max_bytes = max_bytes
         self.stats = CacheStats()
+        #: bytes on disk at the last walk plus those stored since
+        self._bytes: Optional[int] = None
 
     @contextlib.contextmanager
     def _advisory_lock(self):
@@ -440,15 +445,20 @@ class ArtifactCache:
     def put(self, key: str, value: Dict[str, Any]) -> bool:
         """Store ``value`` under ``key``; False if unpicklable."""
         with self._advisory_lock():
-            stored = self._put_locked(key, value)
-            if stored and self.max_bytes is not None:
-                self._evict(protect=key)
-        return stored
+            written = self._put_locked(key, value)
+            if written is not None and self.max_bytes is not None:
+                if self._bytes is not None:
+                    self._bytes += written
+                if self._bytes is None or self._bytes > self.max_bytes:
+                    self._evict(protect=key)
+        return written is not None
 
-    def _put_locked(self, key: str, value: Dict[str, Any]) -> bool:
+    def _put_locked(self, key: str, value: Dict[str, Any]) -> Optional[int]:
+        """Write the entry; returns the bytes written, None on failure."""
         os.makedirs(os.path.dirname(self._path(key)), exist_ok=True)
         inline: Dict[str, bytes] = {}
         sidecar: Dict[str, str] = {}
+        written = 0
         part = 0
         for name, artifact in value.items():
             try:
@@ -456,26 +466,23 @@ class ArtifactCache:
                     artifact, protocol=pickle.HIGHEST_PROTOCOL
                 )
             except (pickle.PickleError, TypeError):
-                return False
+                return None
             if len(blob) <= INLINE_LIMIT:
                 inline[name] = blob
             else:
                 if not self._write_atomic(self._path(key, part), blob):
-                    return False
+                    return None
                 sidecar[name] = os.path.basename(self._path(key, part))
+                written += len(blob)
                 part += 1
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "inline": inline,
-            "sidecar": sidecar,
-        }
-        if not self._write_atomic(
-            self._path(key),
-            pickle.dumps(manifest, protocol=pickle.HIGHEST_PROTOCOL),
-        ):
-            return False
+        manifest = pickle.dumps(
+            {"format": MANIFEST_FORMAT, "inline": inline, "sidecar": sidecar},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        if not self._write_atomic(self._path(key), manifest):
+            return None
         self.stats.stores += 1
-        return True
+        return written + len(manifest)
 
     def _entries(self) -> List[Tuple[float, str, List[str], int]]:
         """Cache entries as ``(manifest mtime, key, files, bytes)``.
@@ -516,7 +523,8 @@ class ArtifactCache:
         return sum(size for _mtime, _key, _files, size in self._entries())
 
     def _evict(self, protect: Optional[str] = None) -> int:
-        """Drop least-recently-used entries until under ``max_bytes``."""
+        """Walk the cache and drop least-recently-used entries until it
+        is under ``max_bytes``; records the size left."""
         if self.max_bytes is None:
             return 0
         entries = self._entries()
@@ -534,6 +542,7 @@ class ArtifactCache:
                     pass
             total -= size
             evicted += 1
+        self._bytes = total
         self.stats.evictions += evicted
         return evicted
 

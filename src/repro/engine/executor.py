@@ -25,6 +25,7 @@ that reads it runs.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -270,19 +271,22 @@ class _RunState:
         start = time.perf_counter()
         cpu_start = time.thread_time()
         try:
-            inputs = {k: self.artifacts[k] for k in stage.inputs}
             # the stage span roots the trace subtree for everything the
             # stage function does: in-stage instrumentation (grouping,
             # DDG, STA, ...) nests under it, so engine timings and
-            # fine-grained spans share one trace tree
+            # fine-grained spans share one trace tree.  Span, profile
+            # and journal duration all start before the inputs load, so
+            # each charges a deferred input or sidecar load to the stage
             with trace.span(
                 "stage:" + stage.name, stage=stage.name, graph=self.graph.name
+            ), (
+                profiler.stage(stage.name, self.graph.name)
+                if profiler.enabled
+                else contextlib.nullcontext()
             ):
-                if profiler.enabled:
-                    with profiler.stage(stage.name, self.graph.name):
-                        outputs = stage.call(inputs)
-                else:
-                    outputs = stage.call(inputs)
+                outputs = stage.call(
+                    {k: self.artifacts[k] for k in stage.inputs}
+                )
         except Exception as exc:
             metrics.counter("engine.stage.errors").inc()
             record = StageRecord(

@@ -12,7 +12,7 @@ artifact).  The graph itself never executes anything -- that is the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 
 class FlowGraphError(ValueError):
@@ -85,9 +85,6 @@ class FlowGraph:
             self.add(stage)
 
     # ------------------------------------------------------------------
-    def producer_of(self, artifact: str) -> Optional[str]:
-        return self._producer.get(artifact)
-
     def initial_inputs(self) -> Set[str]:
         """Artifact keys that must be supplied by the caller."""
         needed: Set[str] = set()

@@ -48,18 +48,12 @@ class RunJournal:
             os.makedirs(parent, exist_ok=True)
             self._handle = open(path, "a" if append else "w")
 
-    def record(
-        self, event: str, _flush: bool = True, **fields: Any
-    ) -> Dict[str, Any]:
+    def record(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Record one event; returns the stamped entry.
 
         Recording after :meth:`close` keeps accepting events in memory
         -- a late writer (an exporter flushing after the run) must not
         crash on the closed file handle.
-
-        ``_flush=False`` skips the per-line flush for high-rate,
-        loss-tolerant events (span mirroring); buffered lines still
-        land on :meth:`close` or at the next flushed record.
         """
         entry: Dict[str, Any] = {"ts": round(time.time(), 6), "event": event}
         if self.trace_id is not None:
@@ -69,8 +63,7 @@ class RunJournal:
             self.events.append(entry)
             if self._handle is not None and not self._handle.closed:
                 self._handle.write(json.dumps(entry, default=str) + "\n")
-                if _flush:
-                    self._handle.flush()
+                self._handle.flush()
         return entry
 
     def select(self, event: Optional[str] = None, **filters: Any):

@@ -249,7 +249,9 @@ def desync_stages(
                 "corner": options.corner,
                 "clock_period": options.clock_period,
             },
-            version="2",  # v2: refuses multi-driven nets and unknown cells
+            # v2: refuses multi-driven nets and unknown cells; v3: and
+            # output pins bound to a tie net
+            version="3",
         ),
         Stage(
             name=p + "group",

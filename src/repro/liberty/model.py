@@ -123,13 +123,6 @@ class LibraryCell:
             if a.timing_type in ("combinational", "rising_edge", "falling_edge")
         ]
 
-    def constraint_arcs(self) -> List[TimingArc]:
-        return [
-            a
-            for a in self.arcs
-            if a.timing_type.startswith(("setup", "hold"))
-        ]
-
     def compiled_function(self, pin: str):
         """Compile and cache the output function of ``pin``."""
         cache = self.__dict__.setdefault("_fn_cache", {})

@@ -16,6 +16,7 @@ from .core import (
     sinks_of,
 )
 from .verilog import (
+    VerilogNameError,
     VerilogParseError,
     parse_verilog,
     read_verilog,
@@ -37,6 +38,7 @@ __all__ = [
     "PinRef",
     "Port",
     "PortDirection",
+    "VerilogNameError",
     "VerilogParseError",
     "bus_base",
     "bus_index",

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
-    Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+    Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
 )
 
 
@@ -466,12 +466,6 @@ class Module:
 
     def net_of(self, instance: str, pin: str) -> Optional[str]:
         return self.instances[instance].pins.get(pin)
-
-    def instances_of(self, cells: Iterable[str]) -> Iterator[Instance]:
-        wanted = set(cells)
-        for inst in self.instances.values():
-            if inst.cell in wanted:
-                yield inst
 
     def stats(self) -> Dict[str, int]:
         """Basic size statistics: instance and net counts."""

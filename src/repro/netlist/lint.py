@@ -1,9 +1,10 @@
 """Import-time checks: refuse a netlist whose drivers or cells are wrong.
 
 The engine's ``import`` stage runs :func:`check_drivers` before any
-pass reads the design, so a net driven twice, or an instance of a cell
-the library does not define, fails at the door with an error that names
-it, rather than later inside grouping, timing or simulation.
+pass reads the design, so a net driven twice, an output pin bound to a
+constant, or an instance of a cell the library does not define, fails
+at the door with an error that names it, rather than later inside
+grouping, timing or simulation.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ from .core import (
 )
 
 
+#: the tie nets :meth:`Module.constant_net` creates
+_TIE_NETS = ("__const0__", "__const1__")
+
+
 class MultiDrivenNetError(NetlistError):
-    """A net has more than one driver."""
+    """A net has more than one driver (a tie net's constant counts)."""
 
 
 class UnknownCellError(NetlistError):
@@ -33,13 +38,14 @@ def check_drivers(module: Module, cell_info: CellInfoProvider) -> None:
     net has at most one driver.
 
     Pins are classified as :class:`~repro.netlist.index.ConnectivityIndex`
-    classifies them: a cell's output pins drive their nets, and so do
-    the bits of input ports.
+    classifies them: a cell's output pins drive their nets, as do the
+    bits of input ports and the constant of a tie net.
     """
     output = PortDirection.OUTPUT
     #: cell -> {pin: direction}, filled as pins are first seen
     directions: Dict[str, Dict[str, PortDirection]] = {}
-    driven = set()
+    nets = module.nets
+    driven = {n for n in _TIE_NETS if n in nets and nets[n].is_constant}
     multi: List[str] = []
     for inst in module.instances.values():
         known = directions.get(inst.cell)
@@ -68,8 +74,10 @@ def check_drivers(module: Module, cell_info: CellInfoProvider) -> None:
             driven.add(bit)
     if multi:
         net = multi[0]
-        drivers = [
-            str(ref) for ref in module.nets[net].connections
+        record = module.nets[net]
+        drivers = [f"1'b{record.constant_value}"] if record.is_constant else []
+        drivers += [
+            str(ref) for ref in record.connections
             if _drives(module, ref, directions)
         ]
         others = len(set(multi)) - 1

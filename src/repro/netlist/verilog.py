@@ -69,6 +69,10 @@ class VerilogParseError(Exception):
     """Raised when the input is not acceptable gate-level Verilog."""
 
 
+class VerilogNameError(NetlistError):
+    """A name no identifier spells: empty, or holding a blank."""
+
+
 class _Lazy:
     """A regular expression compiled on first use.  The reader's take
     several milliseconds to compile, which a process that reads and
@@ -561,13 +565,15 @@ def read_verilog(path: str) -> Netlist:
 # ----------------------------------------------------------------------
 
 _SIMPLE_ID = r"[A-Za-z_][A-Za-z0-9_$]*(?:\[\d+\])?"
-_SIMPLE_ID_RE = _Lazy("^" + _SIMPLE_ID + "$")
+_SIMPLE_ID_RE = _Lazy(_SIMPLE_ID)
 _SIMPLE_IDS_RE = _Lazy(_SIMPLE_ID + r"(?:\0" + _SIMPLE_ID + ")*")
+_BLANK_RE = _Lazy(r"\s")
 
 
 class _Identifiers(dict):
     """Name -> its Verilog spelling, escaped unless it is a simple
-    (optionally bit-selected) identifier; each name is looked at once.
+    (optionally bit-selected) identifier; each name is looked at once,
+    and one that no identifier spells raises :class:`VerilogNameError`.
 
     ``groups`` of names are checked in one match each: when all of a
     group's names are simple, as after name cleaning, they go in as
@@ -581,7 +587,12 @@ class _Identifiers(dict):
                 self.update(zip(names, names))
 
     def __missing__(self, name: str) -> str:
-        spelled = name if _SIMPLE_ID_RE.match(name) else f"\\{name} "
+        if _SIMPLE_ID_RE.fullmatch(name):
+            spelled = name
+        elif name and not _BLANK_RE.search(name):
+            spelled = f"\\{name} "
+        else:
+            raise VerilogNameError(f"no Verilog identifier spells {name!r}")
         self[name] = spelled
         return spelled
 

@@ -267,10 +267,6 @@ class MetricsRegistry:
                 out["histograms"][name] = instrument.snapshot()
         return out
 
-    def clear(self) -> None:
-        with self._lock:
-            self._instruments.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._instruments)

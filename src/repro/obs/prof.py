@@ -332,10 +332,6 @@ class Profiler:
         with self._lock:
             return list(self._profiles)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._profiles.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._profiles)

@@ -22,9 +22,9 @@ and designed to be near-zero-cost in that state: a span on a disabled
 tracer is a shared no-op that allocates nothing, so instrumented hot
 paths pay one thread-local read and one ``if``.
 
-A tracer can mirror finished spans into a
-:class:`repro.engine.journal.RunJournal` (duck-typed via ``record``)
-so the JSONL run journal and the trace tree tell one story.
+The run journal (:class:`repro.engine.journal.RunJournal`) records
+each stage boundary once, as a ``stage_end`` line; spans are kept here
+and exported, never copied into it.
 
 **Bounded retention** suits a long-lived daemon: ``Tracer(max_spans=N)``
 keeps only the newest N finished spans (a ring buffer) and counts the
@@ -130,10 +130,6 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Thread-safe collector of hierarchical spans.
 
-    ``journal`` may be any object with a ``record(event, **fields)``
-    method (a :class:`repro.engine.journal.RunJournal`): every finished
-    span is then mirrored as a ``"span"`` journal event.
-
     ``max_spans`` bounds finished-span retention: beyond it the oldest
     spans are dropped (and counted in :attr:`dropped`) so a long-lived
     daemon's per-job tracers stay flat in memory.  ``trace_id`` tags
@@ -145,12 +141,10 @@ class Tracer:
     def __init__(
         self,
         enabled: bool = True,
-        journal: Optional[Any] = None,
         max_spans: Optional[int] = None,
         trace_id: Optional[str] = None,
     ):
         self.enabled = enabled
-        self.journal = journal
         self.trace_id = trace_id
         #: perf_counter -> wall-clock epoch offset, for absolute export
         self.epoch = time.time() - time.perf_counter()
@@ -186,19 +180,6 @@ class Tracer:
             ):
                 self.dropped += 1
             self._finished.append(span)
-        if self.journal is not None:
-            # spans are high-rate and loss-tolerant; skip the per-line
-            # flush (lifecycle events still flush, carrying these along)
-            self.journal.record(
-                "span",
-                _flush=False,
-                name=span.name,
-                path=span.path,
-                duration=round(span.duration, 6),
-                depth=span.depth,
-                thread=span.thread_name,
-                attrs=span.attrs or None,
-            )
 
     # -- inspection ----------------------------------------------------
     def finished(self) -> List[Span]:
@@ -208,10 +189,6 @@ class Tracer:
 
     def roots(self) -> List[Span]:
         return [span for span in self.finished() if span.parent is None]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()
 
     def __len__(self) -> int:
         with self._lock:

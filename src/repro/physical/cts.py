@@ -26,10 +26,6 @@ class ClockTree:
     levels: int = 0
     sink_count: int = 0
 
-    @property
-    def insertion_delay_levels(self) -> int:
-        return self.levels
-
 
 @dataclass
 class CtsResult:

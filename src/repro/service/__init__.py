@@ -40,7 +40,6 @@ from .jobs import (
     options_from_dict,
     options_to_dict,
     resolve_module,
-    result_payload,
 )
 from .queue import Job, JobQueue, JobState, QueueClosed, QueueFull
 from .server import ServiceServer, make_server
@@ -64,5 +63,4 @@ __all__ = [
     "options_from_dict",
     "options_to_dict",
     "resolve_module",
-    "result_payload",
 ]

@@ -43,16 +43,16 @@ from ..obs.export import profile_document, trace_document
 from ..obs.metrics import MetricsRegistry
 from ..obs.prof import Profiler
 from ..obs.trace import Tracer
-from .jobs import JobSpec, execute_job, job_key, result_payload
+from .jobs import (
+    STAGE_SECONDS_BUCKETS,
+    JobSpec,
+    execute_job,
+    job_key,
+    job_payload,
+)
 from .queue import Job, JobQueue, JobState, QueueClosed, QueueFull
 
 log = logging.getLogger("repro.service")
-
-#: wall-seconds buckets for per-stage flow latency (imports are ~ms,
-#: ladder characterisation can run to minutes on big libraries)
-STAGE_SECONDS_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1, 2, 5, 15, 60, 300,
-)
 
 #: live eco sessions kept per daemon, LRU (a session pins four
 #: netlists -- the input copy, two timed snapshots and the result --
@@ -150,14 +150,17 @@ class ServiceDaemon:
         """One library object per variant, shared by every job.
 
         Sharing the instance keeps ``library_fingerprint`` memoised and
-        the in-process ladder/STA memos warm across jobs.
+        the in-process ladder/STA memos warm across jobs; its controller
+        cells go in first, as in ``drdesync``, so both key stages alike.
         """
         with self._lock:
             library = self._libraries.get(name)
             if library is None:
+                from ..desync.controllers import ensure_controller_cells
                 from ..liberty.core9 import core9_hs, core9_ll
 
                 library = core9_hs() if name == "hs" else core9_ll()
+                ensure_controller_cells(library)
                 self._libraries[name] = library
             return library
 
@@ -256,17 +259,13 @@ class ServiceDaemon:
         entered *for this worker thread only*, so concurrent jobs never
         see each other's spans and two daemons in one process never
         count each other's jobs.  The per-job journal carries the trace
-        ID on every line; the tracer mirrors its spans into the same
-        journal.
+        ID on every line; the spans stay in the tracer, served over
+        ``GET /jobs/<id>/trace`` while the job is in the LRU.
         """
         journal = RunJournal(
             self.job_journal_path(job_id), append=True, trace_id=trace_id
         )
-        tracer = Tracer(
-            journal=journal,
-            max_spans=self._max_trace_spans,
-            trace_id=trace_id,
-        )
+        tracer = Tracer(max_spans=self._max_trace_spans, trace_id=trace_id)
         observers: Dict[str, Any] = {
             "tracer": tracer, "registry": self.registry,
         }
@@ -284,7 +283,8 @@ class ServiceDaemon:
                 if spec.parent is not None:
                     payload = self._run_eco_job(job_id, spec)
                 else:
-                    payload = self._run_flow_job(spec, library, journal)
+                    engine = FlowEngine(cache=self.cache, journal=journal)
+                    payload = execute_job(spec, library, engine)
             payload["trace_id"] = trace_id
             return payload
         finally:
@@ -293,30 +293,6 @@ class ServiceDaemon:
                     "service.trace.spans_dropped"
                 ).inc(tracer.dropped)
             journal.close()
-
-    def _run_flow_job(
-        self, spec: JobSpec, library, journal: RunJournal
-    ) -> Dict[str, Any]:
-        """One full flow on a per-job engine sharing the daemon cache."""
-        engine = FlowEngine(cache=self.cache, journal=journal)
-        result = execute_job(spec, library, engine)
-        run = engine.results[-1]
-        for record in run.records.values():
-            self.registry.histogram(
-                f"service.stage.{record.name}",
-                buckets=STAGE_SECONDS_BUCKETS,
-            ).observe(record.duration)
-            self.registry.counter(
-                "service.stage_runs",
-                labels={"stage": record.name, "cache": record.cache},
-            ).inc()
-        payload = result_payload(result, include_verilog=True)
-        payload["stages"] = {
-            "total": len(run.records),
-            "cached": len(run.cached_stages()),
-        }
-        payload["flow_wall_time"] = round(run.wall_time, 6)
-        return payload
 
     # -- eco jobs ------------------------------------------------------
     def _run_eco_job(self, job_id: str, spec: JobSpec) -> Dict[str, Any]:
@@ -337,7 +313,7 @@ class ServiceDaemon:
         outcome = session.apply(edits)
         self._checkin_session(job_id, session)
         self.registry.counter("service.jobs.eco").inc()
-        payload = result_payload(outcome.result, include_verilog=True)
+        payload = job_payload(outcome.result.outputs())
         payload["mode"] = outcome.mode
         payload["eco"] = {
             "parent": spec.parent,

@@ -1,34 +1,42 @@
-"""Job specs, results and content-addressed job keys.
+"""Job specs, inputs, results and content-addressed job keys.
 
 A job is one desynchronization request: a design (a named generator
 with parameters, or raw Verilog source), a library variant and the
 ``DesyncOptions`` the flow should use.  :func:`job_key` fingerprints
 exactly that triple with :func:`repro.engine.cache.stable_hash` plus
-:func:`~repro.engine.cache.library_fingerprint`, so
+:func:`~repro.engine.cache.library_fingerprint`, so two identical
+submissions map to the same key and the daemon can serve the second
+from the first's completed record (dedupe).
 
-- two identical submissions map to the same key and the daemon can
-  serve the second from the first's completed record (dedupe), and
-- even when a re-run is forced, both jobs generate identical stage
-  keys and share every artifact through the daemon's one
-  :class:`~repro.engine.cache.ArtifactCache`.
-
-Specs travel over HTTP as plain JSON dicts
-(:meth:`JobSpec.to_dict` / :meth:`JobSpec.from_dict`); results are
-flattened into a JSON-safe payload (:func:`result_payload`) so the
-server never pickles netlists across the wire.
+:func:`execute_job` runs the conversion ``drdesync`` runs,
+:meth:`~repro.desync.tool.Drdesync.convert`, on a deferred input
+(:func:`job_input`) and builds its JSON-safe result from the exported
+texts alone (:func:`job_payload`): a job whose every stage is cached
+builds, hashes and loads no netlist, and the server never pickles one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import glob
+import hashlib
+import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..desync.tool import DesyncOptions, DesyncResult, Drdesync
-from ..engine.cache import library_fingerprint, stable_hash
+from ..desync.tool import DesyncOptions, Drdesync, verilog_source_key
+from ..engine.cache import DeferredArtifact, library_fingerprint, stable_hash
 from ..engine.executor import FlowEngine
 from ..netlist.core import Module
-from ..netlist.verilog import parse_verilog, write_module
+from ..netlist.verilog import parse_verilog
+from ..obs import metrics
+
+#: wall-seconds buckets for per-stage flow latency (imports are ~ms,
+#: ladder characterisation can run to minutes on big libraries)
+STAGE_SECONDS_BUCKETS: Tuple[float, ...] = (
+    0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1, 2, 5, 15, 60, 300,
+)
 
 
 class JobError(ValueError):
@@ -217,41 +225,87 @@ def resolve_module(spec: JobSpec, library) -> Module:
         ) from exc
 
 
-def execute_job(
-    spec: JobSpec, library, engine: FlowEngine
-) -> DesyncResult:
-    """Run one desynchronization flow for ``spec`` on ``engine``.
+@functools.lru_cache(maxsize=None)
+def generator_digest() -> str:
+    """sha256 over the sources the design generators run: every
+    ``repro/designs/*.py`` and ``liberty/techmap.py``, which they map
+    gates through.  Read once per process."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(package, "designs", "*.py")))
+    paths.append(os.path.join(package, "liberty", "techmap.py"))
+    hasher = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as handle:
+            hasher.update(f"{os.path.relpath(path, package)}\0".encode())
+            hasher.update(hashlib.sha256(handle.read()).digest())
+    return hasher.hexdigest()
 
-    This is the callable flow entry point the daemon workers invoke;
-    the engine carries the daemon's shared cache and the per-job
-    journal, which is all the cross-job state there is.
+
+def job_input(spec: JobSpec, library) -> DeferredArtifact:
+    """The job's input netlist, built only if the ``import`` stage runs.
+
+    Verilog source is keyed the way the CLI keys an input file
+    (:func:`~repro.desync.tool.verilog_source_key`).  A generated
+    design is keyed on its name, its parameters, the library and
+    :func:`generator_digest`, so editing a generator moves the key.
     """
-    module = resolve_module(spec, library)
-    tool = Drdesync(library, corner=spec.options.corner, engine=engine)
-    return tool.run(module, spec.options)
+    spec.validate()
+    if spec.verilog is not None:
+        fingerprint = verilog_source_key(spec.verilog.encode(), spec.top)
+    else:
+        fingerprint = stable_hash((
+            "design/1", spec.design, spec.params,
+            library_fingerprint(library), generator_digest(),
+        ))
+    return DeferredArtifact(lambda: resolve_module(spec, library), fingerprint)
 
 
-def result_payload(
-    result: DesyncResult,
-    include_verilog: bool = False,
-    include_sdc: bool = True,
-) -> Dict[str, Any]:
-    """Flatten a :class:`DesyncResult` into a JSON-safe result body."""
-    network = result.network
-    payload: Dict[str, Any] = {
-        "summary": result.summary(),
-        "import_stats": dict(result.import_stats),
+def job_payload(outputs: Dict[str, Any]) -> Dict[str, Any]:
+    """The JSON-safe result body of a conversion's exported outputs
+    (:data:`~repro.desync.tool.EXPORT_ARTIFACTS`)."""
+    summary = outputs["summary"]
+    return {
+        "summary": dict(summary["counts"]),
+        "import_stats": dict(summary["import_stats"]),
         "region_delays": {
             region: round(delay, 6)
-            for region, delay in sorted(network.region_delays.items())
+            for region, delay in summary["region_delays"].items()
         },
         "delay_elements": {
-            region: element.length
-            for region, element in sorted(network.delay_elements.items())
+            region: length
+            for region, _delay, length in summary["delay_elements"]
         },
+        "sdc": outputs["sdc.text"],
+        "verilog": outputs["verilog"],
     }
-    if include_sdc:
-        payload["sdc"] = result.export_sdc()
-    if include_verilog:
-        payload["verilog"] = write_module(result.module)
+
+
+def execute_job(
+    spec: JobSpec, library, engine: FlowEngine
+) -> Dict[str, Any]:
+    """The job body a daemon worker runs: convert on ``engine``, which
+    carries the shared cache and the job's journal, record each stage's
+    latency and cache disposition in the current context's registry,
+    and return the result payload."""
+    tool = Drdesync(library, corner=spec.options.corner, engine=engine)
+    outputs, _result = tool.convert(
+        job_input(spec, library),
+        spec.options,
+        label=f"drdesync:{spec.design or spec.top or 'verilog'}",
+    )
+    run = engine.results[-1]
+    for record in run.records.values():
+        metrics.histogram(
+            f"service.stage.{record.name}", buckets=STAGE_SECONDS_BUCKETS
+        ).observe(record.duration)
+        metrics.counter(
+            "service.stage_runs",
+            labels={"stage": record.name, "cache": record.cache},
+        ).inc()
+    payload = job_payload(outputs)
+    payload["stages"] = {
+        "total": len(run.records),
+        "cached": len(run.cached_stages()),
+    }
+    payload["flow_wall_time"] = round(run.wall_time, 6)
     return payload

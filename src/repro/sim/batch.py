@@ -42,7 +42,6 @@ from ..liberty.functions import (
     compile_function_lanes_indexed,
     pack_lanes,
     unpack_lane,
-    unpack_lanes,
 )
 from ..liberty.model import CellKind, Library
 from ..netlist.core import Module, PortDirection
@@ -438,11 +437,6 @@ class BatchSimulator:
     def value(self, net: str, lane: int = 0) -> Value:
         rec = self._net_rec[net]
         return unpack_lane((rec[0], rec[1]), lane)
-
-    def lane_values(self, net: str) -> List[Value]:
-        """Per-lane scalars of a net (LSB lane first)."""
-        rec = self._net_rec[net]
-        return unpack_lanes((rec[0], rec[1]), self.lanes)
 
     def bus_value(self, bits: Sequence[str], lane: int = 0) -> Optional[int]:
         """Integer value of an LSB-first bit list, None if any bit is X."""

@@ -916,9 +916,6 @@ class Simulator:
     def run_for(self, duration: float, **kwargs) -> None:
         self.run_until(self.now + duration, **kwargs)
 
-    def pending_events(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     def _pin_env(self, model: _CellModel) -> Dict[str, Value]:
         """Reference-kernel path: rebuild the env from net values."""

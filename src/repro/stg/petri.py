@@ -115,9 +115,6 @@ class Stg:
         for src, dst in marked:
             self.arc(src, dst, marked=True)
 
-    def set_initial_values(self, **values: int) -> None:
-        self.initial_values.update(values)
-
     # ------------------------------------------------------------------
     def initial_state(self) -> State:
         values = tuple(self.initial_values.get(s, 0) for s in self.signals)

@@ -149,10 +149,6 @@ class ControllerImplementation:
     #: reachable signal vectors (for verification)
     reachable_codes: Set[Tuple[int, ...]]
 
-    @property
-    def signal_order(self) -> List[str]:
-        return self.stg.signals
-
 
 def synthesize(stg: Stg, graph: Optional[ReachabilityGraph] = None) -> ControllerImplementation:
     """Derive minimised next-state functions for every non-input signal."""

@@ -99,9 +99,6 @@ class VariabilityModel:
         """The factor the synchronous clock must be signed off at."""
         return 1.0 + self.truncate_sigma * self.sigma_inter
 
-    def best_case_factor(self) -> float:
-        return 1.0 - self.truncate_sigma * self.sigma_inter
-
 
 def synchronous_period(nominal_period: float, model: VariabilityModel) -> float:
     """Clock period a synchronous chip ships with: worst case, always."""

@@ -206,6 +206,38 @@ def test_failed_stage_reports_the_lookup_it_made(
     assert misses == cache_misses == (1 if disposition == "miss" else 0)
 
 
+def test_span_profile_and_journal_cover_the_input_load(tmp_path):
+    """A deferred input is computed inside the stage that reads it, and
+    the stage's span, its profile and its journal duration all start
+    before the inputs load: the three records cover one interval."""
+    import time
+
+    from repro.engine import DeferredArtifact
+    from repro.obs import Profiler, Tracer
+
+    def generate():
+        time.sleep(0.05)
+        return 1
+
+    graph = FlowGraph("interval")
+    graph.add(Stage(
+        "import", lambda a: a["module.input"] + 1,
+        inputs=("module.input",), outputs=("module.imported",),
+    ))
+    journal = RunJournal()
+    tracer, profiler = Tracer(), Profiler(enabled=True, memory=False)
+    with use(Context(tracer=tracer, profiler=profiler)):
+        FlowEngine(
+            cache=ArtifactCache(str(tmp_path / "cache")), journal=journal
+        ).run(graph, initial={"module.input": DeferredArtifact(generate, "g")})
+    [span] = [s for s in tracer.finished() if s.name == "stage:import"]
+    [profile] = profiler.profiles()
+    [end] = journal.select("stage_end", stage="import")
+    assert span.duration >= 0.05
+    assert profile.wall_s >= 0.05
+    assert end["duration"] >= 0.05
+
+
 def test_pnr_failure_degrades_gracefully(lib, tmp_path, monkeypatch):
     from repro.flow import implementation as impl
 

@@ -441,16 +441,17 @@ def test_cli_gc_policy_is_scoped_to_the_run(lib, tmp_path, monkeypatch):
     enabled flag and the freeze count as it found them: after a success
     and after a flow error alike."""
     import repro.cli
+    from repro.desync.tool import Drdesync
 
     src = _write_design(lib, tmp_path)
     during = []
-    convert = repro.cli._convert
+    convert = Drdesync.convert
 
     def spy(*args, **kwargs):
         during.append((gc.get_threshold()[0], gc.get_freeze_count() > 0))
         return convert(*args, **kwargs)
 
-    monkeypatch.setattr(repro.cli, "_convert", spy)
+    monkeypatch.setattr(Drdesync, "convert", spy)
     before = (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count())
     assert cli_main([str(src), "--no-cache", "--quiet"]) == 0
     assert (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()) == before

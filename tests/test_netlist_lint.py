@@ -1,4 +1,7 @@
-"""Import-time checks: multi-driven nets and unknown cells."""
+"""Import-time checks: multi-driven nets, outputs bound to a tie net and
+unknown cells."""
+
+import re
 
 import pytest
 
@@ -55,6 +58,33 @@ def test_an_input_port_driven_by_a_cell_is_multi_driven(gatefile):
     """).top
     with pytest.raises(MultiDrivenNetError, match=r"<port a>, i\.Z"):
         check_drivers(module, gatefile)
+
+
+def test_an_output_bound_to_a_tie_net_is_refused_at_import(
+    gatefile, tmp_path, capsys
+):
+    """A constant drives its tie net, so an output pin bound to one is
+    a second driver: the error names the net, the tie and the pin."""
+    tied = TWO_DRIVERS.replace(
+        "INVX1 i2 (.A(q), .Z(n1));", "BUFX1 u1 (.A(a), .Z(1'b0));"
+    )
+    message = "net '__const0__' in module 'm' has 2 drivers: 1'b0, u1.Z"
+    with pytest.raises(MultiDrivenNetError, match=re.escape(message)):
+        check_drivers(parse_verilog(tied).top, gatefile)
+    src = tmp_path / "tied.v"
+    src.write_text(tied)
+    code = cli_main([
+        str(src), "-o", str(tmp_path / "out.v"), "--no-cache", "--quiet",
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    # an input pin bound to a tie net is the tie's sink, as before
+    check_drivers(
+        parse_verilog(TWO_DRIVERS.replace(
+            "INVX1 i2 (.A(q), .Z(n1));", "BUFX1 u1 (.A(1'b1), .Z(y2));"
+        )).top,
+        gatefile,
+    )
 
 
 def test_unknown_cells_and_pins_name_the_instance(gatefile):

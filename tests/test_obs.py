@@ -117,18 +117,6 @@ def test_spans_across_threads_are_thread_local():
     assert {s.thread_id for s in jobs} == set(idents)
 
 
-def test_tracer_mirrors_spans_into_journal():
-    journal = RunJournal()
-    tracer = Tracer(journal=journal)
-    with tracer.span("stage:x", graph="g"):
-        pass
-    events = [e for e in journal.events if e["event"] == "span"]
-    assert len(events) == 1
-    assert events[0]["name"] == "stage:x"
-    assert events[0]["path"] == "stage:x"
-    assert events[0]["attrs"] == {"graph": "g"}
-
-
 # -- metrics -----------------------------------------------------------
 
 
@@ -440,9 +428,12 @@ def test_cli_trace_and_metrics_end_to_end(lib, tmp_path):
     assert snapshot["histograms"]["desync.region.size"]["count"] >= 1
     assert "desync.summary.cells" in snapshot["gauges"]
 
-    # spans were mirrored into the run journal
+    # the journal records each stage boundary once; spans stay in the
+    # trace file
     events = read_journal(str(journal_file))
-    assert any(e["event"] == "span" for e in events)
+    stage_ends = [e["stage"] for e in events if e["event"] == "stage_end"]
+    assert len(stage_ends) == len(set(stage_ends)) and "group" in stage_ends
+    assert not any(e["event"] == "span" for e in events)
 
 
 def test_cli_quiet_suppresses_summary(lib, tmp_path, capsys):

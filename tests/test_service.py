@@ -215,6 +215,140 @@ def test_resolve_module_from_verilog(hs_library):
 
 
 # ---------------------------------------------------------------------------
+# Job body: the CLI's export graph on a deferred input
+# ---------------------------------------------------------------------------
+
+def _reference_payload(result):
+    """The result body built from a ``DesyncResult``, the way the
+    service built it before its jobs ran the export graph."""
+    from repro.netlist.verilog import write_module
+
+    network = result.network
+    return {
+        "summary": result.summary(),
+        "import_stats": dict(result.import_stats),
+        "region_delays": {
+            region: round(delay, 6)
+            for region, delay in sorted(network.region_delays.items())
+        },
+        "delay_elements": {
+            region: element.length
+            for region, element in sorted(network.delay_elements.items())
+        },
+        "sdc": result.export_sdc(),
+        "verilog": write_module(result.module),
+    }
+
+
+def _payload_specs(library):
+    from repro.designs import counter
+    from repro.netlist.verilog import write_module
+
+    return [
+        JobSpec(design="pipeline3"),
+        JobSpec(design="counter"),
+        JobSpec(design="figure22"),
+        JobSpec(design="dlx", params={
+            "registers": 8, "multiplier": False, "width": 16,
+        }),
+        JobSpec(verilog=write_module(counter(library, width=4))),
+    ]
+
+
+def test_cold_and_warm_jobs_return_the_reference_payload(
+    tmp_path, hs_library
+):
+    from repro.desync import desynchronize
+
+    with ServiceDaemon(run_dir=str(tmp_path / "svc"), workers=1) as svc:
+        for spec in _payload_specs(hs_library):
+            module = resolve_module(spec, hs_library)
+            reference = _reference_payload(
+                desynchronize(module, hs_library, spec.options)
+            )
+            for reuse in (True, False):
+                job, deduped = svc.submit(spec, reuse=reuse)
+                assert not deduped
+                svc.queue.wait(job.id, timeout=120.0)
+                assert job.state is JobState.DONE, job.error
+                payload = svc.job_result(job.id, include_verilog=True)
+                stages = payload.pop("stages")
+                assert payload.pop("trace_id") == job.meta["trace_id"]
+                assert payload.pop("flow_wall_time") > 0
+                assert payload == reference
+            # the forced re-run answered every stage from the cache
+            assert stages["cached"] == stages["total"]
+
+
+def test_warm_job_builds_no_netlist(tmp_path, hs_library, monkeypatch):
+    """A job whose every stage is cached reads the exported texts: the
+    generator does not run and no netlist is hashed or loaded."""
+    from repro.engine import FlowEngine
+    from repro.engine import cache as cache_module
+    from repro.service import execute_job, jobs
+
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    spec = small_spec()
+    cold = execute_job(spec, hs_library, FlowEngine(cache=cache))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a warm job built, hashed or loaded a netlist")
+
+    monkeypatch.setattr(jobs, "resolve_module", refuse)
+    monkeypatch.setattr(cache_module, "_feed_module", refuse)
+    monkeypatch.setattr(cache_module.LazyArtifact, "load", refuse)
+    warm = execute_job(spec, hs_library, FlowEngine(cache=cache))
+    assert warm["stages"]["cached"] == warm["stages"]["total"]
+    for payload in (cold, warm):
+        del payload["stages"], payload["flow_wall_time"]
+    assert warm == cold
+
+
+def test_changed_generator_digest_misses_the_cache(
+    tmp_path, hs_library, monkeypatch
+):
+    """A generated design is keyed on a digest of the generator
+    sources, so editing a generator moves the job input's key."""
+    from repro.engine import FlowEngine
+    from repro.service import execute_job, jobs
+
+    cache = ArtifactCache(str(tmp_path / "cache"))
+    spec = small_spec()
+
+    def import_cache_state():
+        engine = FlowEngine(cache=cache)
+        execute_job(spec, hs_library, engine)
+        return engine.results[-1].records["import"].cache
+
+    assert import_cache_state() == "miss"
+    assert import_cache_state() == "hit"
+    assert jobs.generator_digest() is jobs.generator_digest()
+    monkeypatch.setattr(jobs, "generator_digest", lambda: "edited")
+    assert import_cache_state() == "miss"
+
+
+def test_verilog_job_is_keyed_as_the_cli_keys_the_file(tmp_path, hs_library):
+    """A Verilog-source job and a ``drdesync`` run over the same bytes
+    share one input key, so the job replays the CLI's cache."""
+    spec = _payload_specs(hs_library)[-1]
+    src = tmp_path / "counter.v"
+    src.write_bytes(spec.verilog.encode())
+    cache_dir = tmp_path / "cache"
+    assert cli_main([
+        str(src), "-o", str(tmp_path / "out.v"), "--cache-dir",
+        str(cache_dir), "--quiet",
+    ]) == 0
+    with ServiceDaemon(
+        run_dir=str(tmp_path / "svc"), cache_dir=str(cache_dir), workers=1
+    ) as svc:
+        job, _ = svc.submit(spec)
+        svc.queue.wait(job.id, timeout=120.0)
+        payload = svc.job_result(job.id, include_verilog=True)
+    assert payload["stages"]["cached"] == payload["stages"]["total"]
+    assert payload["verilog"] == (tmp_path / "out.v").read_text()
+
+
+# ---------------------------------------------------------------------------
 # Daemon: dedupe, cache sharing, drain, failure isolation
 # ---------------------------------------------------------------------------
 
@@ -582,6 +716,29 @@ def test_cache_eviction_removes_sidecars_with_manifest(tmp_path):
         if name.startswith("aa")
     ]
     assert leftovers == []
+
+
+def test_cache_puts_under_the_cap_walk_once(tmp_path, monkeypatch):
+    """The first store walks the directory for its size; later stores
+    add the bytes they wrote and walk again only past ``max_bytes``."""
+    blob = os.urandom(1500)
+    cache = ArtifactCache(str(tmp_path / "cache"), max_bytes=20_000)
+    walks = []
+    entries = cache._entries
+
+    def counted():
+        walks.append(1)
+        return entries()
+
+    monkeypatch.setattr(cache, "_entries", counted)
+    for index in range(8):
+        assert cache.put(f"{index:02d}{'e' * 62}", {"blob": blob})
+    assert len(walks) == 1 and cache.stats.evictions == 0
+    assert cache._bytes == cache.size_bytes()
+    for index in range(8, 16):  # past the cap: walk and evict
+        assert cache.put(f"{index:02d}{'e' * 62}", {"blob": blob})
+    assert len(walks) > 1 and cache.stats.evictions > 0
+    assert cache.size_bytes() <= 20_000
 
 
 def test_cache_advisory_lock_file_created(tmp_path):

@@ -10,6 +10,7 @@ from repro.netlist import (
     Module,
     NetlistError,
     PortDirection,
+    VerilogNameError,
     VerilogParseError,
     parse_verilog,
     write_verilog,
@@ -540,11 +541,19 @@ _WRITER_NAMES = st.one_of(
 ))
 @settings(max_examples=200, deadline=None)
 def test_writer_spells_every_name_as_before(gates):
+    """Every name the writer can spell is spelled as before; one with a
+    blank, which would end its escaped spelling, is refused."""
     module = Module("m")
     module.add_port("a", PortDirection.INPUT)
     for index, (inst, pin, net) in enumerate(gates):
         name = f"{inst}{index}"
         module.add_instance(name, "BUFX1", {pin: net, "Z": f"{net}_o"})
+    names = [*module.nets, *module.instances]
+    names += [pin for inst in module.instances.values() for pin in inst.pins]
+    if any(re.search(r"\s", name) for name in names):
+        with pytest.raises(VerilogNameError):
+            write_module(module)
+        return
     text = write_module(module)
     for inst in module.instances.values():
         assert (
@@ -555,3 +564,21 @@ def test_writer_spells_every_name_as_before(gates):
     for net in module.nets:
         if net != "a":
             assert f"  wire {_old_emit_id(net)};\n" in text
+
+
+def test_writer_refuses_a_name_it_cannot_spell():
+    """An escaped identifier ends at the first blank: a net named
+    ``x y`` has no spelling, and writing it would read back as a
+    different statement.  The writer names it instead."""
+    module = Module("m")
+    module.add_port("a", PortDirection.INPUT)
+    module.add_instance("u1", "BUFX1", {"A": "a", "Z": "x y"})
+    with pytest.raises(VerilogNameError, match="'x y'") as excinfo:
+        write_module(module)
+    assert isinstance(excinfo.value, NetlistError)
+    # without the blank, the name takes the escaped spelling and reads
+    # back
+    module.rename_net("x y", "x.y")
+    text = write_module(module)
+    assert "wire \\x.y ;" in text
+    assert "x.y" in parse_verilog(text).top.nets
