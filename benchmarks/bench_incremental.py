@@ -15,7 +15,11 @@ The detail block also times one buffer resize, which logic cleaning
 keeps off the splice path: ``deep_apply_s`` is the deep re-flow (edit
 the import snapshot, re-run group/ffsub/ddg on a clone, re-insert the
 network), checked against ``session.oracle()``.  It is reported next
-to ``session_start_s`` and is not gated.
+to ``session_start_s`` and is not gated.  ``gc_pauses`` counts the
+cyclic collector's pauses (``gc.callbacks``) inside the cold flow, the
+session start, the splice apply, the verified apply and the deep
+re-flow: all collections, the full (generation 2) ones, and their
+seconds.  It is not gated either.
 
 The regression metric is the speedup *ratio* (cold seconds /
 incremental seconds) -- both paths run on the same machine, so the
@@ -33,6 +37,7 @@ Run directly (not collected by pytest)::
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -60,6 +65,36 @@ BUFFER_FROM = "BUFX1"
 BUFFER_TO = "BUFX2"
 
 
+class _GcPauses:
+    """The collector's pauses inside timed calls, from ``gc.callbacks``."""
+
+    def __init__(self):
+        #: (generation, seconds) of every collection so far
+        self.pauses = []
+        self._began = None
+
+    def __call__(self, phase, info):
+        now = time.perf_counter()
+        if phase == "start":
+            self._began = now
+        elif self._began is not None:
+            self.pauses.append((info["generation"], now - self._began))
+            self._began = None
+
+    def timed(self, call, *args, **kwargs):
+        """``(result, wall seconds, pauses)`` of one call."""
+        mark = len(self.pauses)
+        start = time.perf_counter()
+        result = call(*args, **kwargs)
+        wall = time.perf_counter() - start
+        inside = self.pauses[mark:]
+        return result, wall, {
+            "collections": len(inside),
+            "full": sum(1 for generation, _s in inside if generation == 2),
+            "seconds": round(sum(seconds for _g, seconds in inside), 6),
+        }
+
+
 def _signature(result):
     return write_module(result.module), result.export_sdc()
 
@@ -74,6 +109,15 @@ def _pick_target(module, cell):
 
 
 def run_bench(repeats=3):
+    pauses = _GcPauses()
+    gc.callbacks.append(pauses)
+    try:
+        return _run_bench(repeats, pauses)
+    finally:
+        gc.callbacks.remove(pauses)
+
+
+def _run_bench(repeats, pauses):
     library = core9_hs()
     options = DesyncOptions()
     module = dlx_core(library)
@@ -88,9 +132,10 @@ def run_bench(repeats=3):
     for _ in range(repeats):
         edited = module.clone()
         apply_edit(edited, library, edit_fwd)
-        start = time.perf_counter()
-        full = desynchronize(edited, library, options)
-        cold_times.append(time.perf_counter() - start)
+        full, seconds, gc_cold = pauses.timed(
+            desynchronize, edited, library, options
+        )
+        cold_times.append((seconds, gc_cold))
         sig = _signature(full)
         if oracle_sig is None:
             oracle_sig = sig
@@ -101,29 +146,27 @@ def run_bench(repeats=3):
     # change-tracking layer (swap back between repeats, also timed --
     # both directions are single-cell ECO applies)
     session = IncrementalSession(library, options)
-    start = time.perf_counter()
-    session.start(module.clone())
-    session_start_s = time.perf_counter() - start
+    _result, session_start_s, gc_start = pauses.timed(
+        session.start, module.clone()
+    )
 
     incr_times = []
     paths = set()
     for _ in range(repeats):
-        start = time.perf_counter()
-        outcome = session.apply(edit_fwd)
-        incr_times.append(time.perf_counter() - start)
+        outcome, seconds, gc_apply = pauses.timed(session.apply, edit_fwd)
+        incr_times.append((seconds, gc_apply))
         paths.add(outcome.path)
         if _signature(outcome.result) != oracle_sig:
             raise SystemExit(
                 "incremental result diverges from the from-scratch flow"
             )
-        start = time.perf_counter()
-        session.apply(edit_back)
-        incr_times.append(time.perf_counter() - start)
+        _outcome, seconds, gc_apply = pauses.timed(session.apply, edit_back)
+        incr_times.append((seconds, gc_apply))
 
     # one verified apply for the record (scoped re-simulation included)
-    start = time.perf_counter()
-    verified = session.apply(edit_fwd, verify="affected")
-    verify_s = time.perf_counter() - start
+    verified, verify_s, gc_verified = pauses.timed(
+        session.apply, edit_fwd, verify="affected"
+    )
     if _signature(verified.result) != oracle_sig:
         raise SystemExit("verified incremental apply diverges from oracle")
     if verified.report is None or verified.report.get("error"):
@@ -133,18 +176,16 @@ def run_bench(repeats=3):
 
     # one deep re-flow: a buffer resize the splice guard refuses
     buffer = _pick_target(module, BUFFER_FROM)
-    start = time.perf_counter()
-    deep = session.apply(
-        NetlistEdit("swap_cell", instance=buffer, cell=BUFFER_TO)
+    deep, deep_apply_s, gc_deep = pauses.timed(
+        session.apply, NetlistEdit("swap_cell", instance=buffer, cell=BUFFER_TO)
     )
-    deep_apply_s = time.perf_counter() - start
     if deep.path != "deep":
         raise SystemExit(f"buffer resize took the {deep.path} path")
     if _signature(deep.result) != _signature(session.oracle()):
         raise SystemExit("deep re-flow diverges from the session oracle")
 
-    cold_s = min(cold_times)
-    incr_s = min(incr_times)
+    cold_s, gc_cold = min(cold_times, key=lambda pair: pair[0])
+    incr_s, gc_apply = min(incr_times, key=lambda pair: pair[0])
     speedup = cold_s / max(incr_s, 1e-12)
     if speedup < MIN_SPEEDUP:
         raise SystemExit(
@@ -168,6 +209,13 @@ def run_bench(repeats=3):
         "speedup": round(speedup, 3),
         "min_speedup": MIN_SPEEDUP,
         "identical_results": True,
+        "gc_pauses": {
+            "cold_flow": gc_cold,
+            "session_start": gc_start,
+            "incremental_apply": gc_apply,
+            "verified_apply": gc_verified,
+            "deep_apply": gc_deep,
+        },
     }
     obs_bench.stamp(
         bench,
@@ -224,6 +272,13 @@ def main(argv=None):
         f"over {len(bench['verified_regions'])} region(s); "
         f"session start {bench['session_start_s']:.2f} s, "
         f"deep apply {bench['deep_apply_s']:.2f} s"
+    )
+    print(
+        "collector pauses (collections, full, seconds): "
+        + "; ".join(
+            f"{name} {gc_['collections']}/{gc_['full']}/{gc_['seconds']:.3f} s"
+            for name, gc_ in bench["gc_pauses"].items()
+        )
     )
     print(f"wrote {out_file}")
 

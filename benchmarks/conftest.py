@@ -21,6 +21,7 @@ import os
 import pytest
 
 from repro.designs import dlx_core
+from repro.desync import ensure_controller_cells
 from repro.obs import bench as obs_bench
 from repro.engine import (
     ArtifactCache,
@@ -69,14 +70,23 @@ def emit_json(name: str, payload: dict) -> str:
     return path
 
 
+def _shared_library(library):
+    """Add the controller cells before anything fingerprints the
+    library, as ``drdesync`` and the daemon do: the first flow would
+    otherwise add them mid-session and move every stage key taken
+    after it (a warm re-run would miss ``generate.dlx``)."""
+    ensure_controller_cells(library)
+    return library
+
+
 @pytest.fixture(scope="session")
 def hs_library():
-    return core9_hs()
+    return _shared_library(core9_hs())
 
 
 @pytest.fixture(scope="session")
 def ll_library():
-    return core9_ll()
+    return _shared_library(core9_ll())
 
 
 @pytest.fixture(scope="session")

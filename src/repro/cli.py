@@ -54,8 +54,6 @@ cross-validation against the analytic effective-period model.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import gc
 import logging
 import os
 import sys
@@ -64,6 +62,7 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .desync.tool import DesyncOptions, Drdesync, verilog_source_key
 from .engine.cache import ArtifactCache, DeferredArtifact
+from .engine.collector import collector_scope
 from .engine.executor import FlowEngine
 from .engine.journal import RunJournal
 from .liberty.core9 import core9_hs, core9_ll
@@ -86,10 +85,6 @@ SERVICE_COMMANDS = (
 #: LRU bound on the ``--cache-dir`` cache: entries a schema bump or a
 #: changed input orphaned are evicted oldest first once it is exceeded
 CACHE_MAX_BYTES = 256 * 1024 * 1024
-
-#: the collector's generation-0 threshold while the CLI converts one
-#: design (the interpreter default is 700)
-GC_GEN0_THRESHOLD = 200_000
 
 log = logging.getLogger("repro.cli")
 
@@ -397,29 +392,6 @@ def _write_outputs(
             handle.write(outputs["sdc.text"])
 
 
-@contextlib.contextmanager
-def _one_conversion_gc():
-    """The cyclic collector's policy for a process that runs one
-    conversion and exits.
-
-    A conversion builds a netlist that lives until the process ends, so
-    collections at the default threshold rescan a growing heap and free
-    almost nothing.  Inside, the start-up heap is frozen out of every
-    collection and generation 0 collects only every
-    :data:`GC_GEN0_THRESHOLD` allocations; on exit the thresholds are
-    restored and the heap unfrozen.  Long-lived callers (the daemon, an
-    ``IncrementalSession``, library code) keep the interpreter default.
-    """
-    thresholds = gc.get_threshold()
-    gc.freeze()
-    gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
-    try:
-        yield
-    finally:
-        gc.set_threshold(*thresholds)
-        gc.unfreeze()
-
-
 def _run_flow(args: argparse.Namespace) -> int:
     if args.liberty:
         library = read_liberty(args.liberty)
@@ -544,7 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     configure_logging(resolve_log_level(args), stream=sys.stdout)
     try:
-        with _one_conversion_gc():
+        with collector_scope():
             return _run_flow(args)
     except Exception as error:
         print(f"drdesync: flow error: {error}", file=sys.stderr)

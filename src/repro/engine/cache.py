@@ -44,6 +44,7 @@ try:  # POSIX advisory file locking; absent on some platforms
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
+from ..liberty.model import FINGERPRINT_MEMO
 from ..netlist.core import Module
 
 #: seeds every stage key and fingerprint.  Bump it when a cache entry
@@ -168,18 +169,15 @@ def stable_hash(obj: Any) -> str:
     return hasher.hexdigest()
 
 
-_LIB_FP_ATTR = "_engine_fingerprint"
-
-
 def library_fingerprint(library) -> str:
     """Content fingerprint of a library, memoised on the object.
 
     Libraries are immutable for the duration of a flow (the controller
-    cell is added before any stage runs), so the fingerprint is
-    computed once per library object and reused by every stage key and
-    by the STA ladder memo.
+    cells are added before any stage runs), so the fingerprint is
+    computed once per library content and reused by every stage key
+    and by the STA ladder memo; ``Library.add_cell`` drops the memo.
     """
-    cached = library.__dict__.get(_LIB_FP_ATTR)
+    cached = library.__dict__.get(FINGERPRINT_MEMO)
     if cached is None:
         cached = stable_hash(
             {
@@ -189,7 +187,7 @@ def library_fingerprint(library) -> str:
                 "cells": library.cells,
             }
         )
-        library.__dict__[_LIB_FP_ATTR] = cached
+        library.__dict__[FINGERPRINT_MEMO] = cached
     return cached
 
 
@@ -313,6 +311,9 @@ class DeferredArtifact:
 #: artifacts pickling larger than this live in their own sidecar file
 INLINE_LIMIT = 32 * 1024
 
+#: share of ``max_bytes`` an eviction brings the cache down to
+EVICT_TO = 0.75
+
 
 class ArtifactCache:
     """Disk cache mapping stage keys to pickled artifact dicts.
@@ -328,11 +329,13 @@ class ArtifactCache:
 
     ``max_bytes`` caps the on-disk size: once a store takes the cache
     past it, entries are evicted least-recently-used first (manifest
-    mtime; hits touch the manifest) until the cache fits.  The entry
-    just written survives even when it alone exceeds the cap.  A walk
-    at the first store sizes the cache and later stores add what they
-    write, so a store under the cap walks nothing; writes by other
-    processes sharing the directory are seen at the next walk.
+    mtime; hits touch the manifest) until the cache is down to
+    :data:`EVICT_TO` of the cap, so a cache held at its cap walks once
+    per quarter of the cap stored, not on every store.  The entry just
+    written survives even when it alone exceeds the cap.  A walk at the
+    first store sizes the cache and later stores add what they write,
+    so a store under the cap walks nothing; writes by other processes
+    sharing the directory are seen at the next walk.
     """
 
     def __init__(
@@ -523,15 +526,19 @@ class ArtifactCache:
         return sum(size for _mtime, _key, _files, size in self._entries())
 
     def _evict(self, protect: Optional[str] = None) -> int:
-        """Walk the cache and drop least-recently-used entries until it
-        is under ``max_bytes``; records the size left."""
+        """Walk the cache and, if it is over ``max_bytes``, drop
+        least-recently-used entries until it is down to
+        :data:`EVICT_TO` of it; records the size left."""
         if self.max_bytes is None:
             return 0
         entries = self._entries()
         total = sum(size for _mtime, _key, _files, size in entries)
+        target = self.max_bytes
+        if total > target:
+            target *= EVICT_TO
         evicted = 0
         for _mtime, key, files, size in entries:
-            if total <= self.max_bytes:
+            if total <= target:
                 break
             if key == protect:
                 continue

@@ -65,6 +65,7 @@ from ..desync.regions import (
     validate_independence_for,
 )
 from ..desync.tool import DesyncOptions, DesyncResult, Drdesync
+from ..engine.collector import collector_scope
 from ..liberty.model import Library
 from ..netlist.core import Module
 from ..obs import metrics, trace
@@ -290,6 +291,10 @@ class IncrementalSession:
     ``session.oracle(edits)`` re-runs the untouched pipeline on the
     original input with the same edits -- the ``mode="full"`` parity
     reference the tests and benchmarks assert against.
+
+    ``start``, ``apply`` and ``oracle`` each run as one unit of work
+    under :func:`~repro.engine.collector.collector_scope`: the session's
+    netlists are frozen out of the collections the call sets off.
     """
 
     def __init__(
@@ -316,6 +321,7 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # cold start
     # ------------------------------------------------------------------
+    @collector_scope()
     def start(self, module: Module) -> DesyncResult:
         """Run the full flow once and capture the reuse substrate.
 
@@ -406,6 +412,7 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # parity oracle
     # ------------------------------------------------------------------
+    @collector_scope()
     def oracle(self, edits: Union[NetlistEdit, Sequence[NetlistEdit]] = ())\
             -> DesyncResult:
         """``mode="full"``: from-scratch re-flow of input + all edits.
@@ -426,6 +433,7 @@ class IncrementalSession:
     # ------------------------------------------------------------------
     # the ECO entry point
     # ------------------------------------------------------------------
+    @collector_scope()
     def apply(
         self,
         edits: Union[NetlistEdit, Sequence[NetlistEdit]],

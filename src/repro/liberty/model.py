@@ -144,6 +144,11 @@ class OperatingCorner:
     temperature: float = 25.0
 
 
+#: the attribute a library's content fingerprint is memoised in
+#: (:func:`repro.engine.cache.library_fingerprint`); ``add_cell`` drops it
+FINGERPRINT_MEMO = "_engine_fingerprint"
+
+
 class Library:
     """A technology library: cells plus operating corners."""
 
@@ -164,6 +169,7 @@ class Library:
 
     def add_cell(self, cell: LibraryCell) -> LibraryCell:
         self.cells[cell.name] = cell
+        self.__dict__.pop(FINGERPRINT_MEMO, None)
         return cell
 
     def cell(self, name: str) -> LibraryCell:

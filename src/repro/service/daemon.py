@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
+import time
 import uuid
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
@@ -281,7 +282,7 @@ class ServiceDaemon:
         try:
             with use(context):
                 if spec.parent is not None:
-                    payload = self._run_eco_job(job_id, spec)
+                    payload = self._run_eco_job(job_id, spec, journal)
                 else:
                     engine = FlowEngine(cache=self.cache, journal=journal)
                     payload = execute_job(spec, library, engine)
@@ -295,7 +296,9 @@ class ServiceDaemon:
             journal.close()
 
     # -- eco jobs ------------------------------------------------------
-    def _run_eco_job(self, job_id: str, spec: JobSpec) -> Dict[str, Any]:
+    def _run_eco_job(
+        self, job_id: str, spec: JobSpec, journal: RunJournal
+    ) -> Dict[str, Any]:
         """Incremental re-flow of a parent job's result.
 
         The edits land on the parent's live
@@ -304,13 +307,26 @@ class ServiceDaemon:
         now reflects the child result), so eco jobs chain.  A failed
         apply drops the session -- the next reference rebuilds it from
         the job chain, which is always possible because every spec in
-        the chain is retained.
+        the chain is retained.  The job's journal gets one ``eco_apply``
+        line: the path taken, the stages reused, the edit count and the
+        seconds from checkout to result.
         """
         from ..flow.incremental import NetlistEdit
 
         edits = [NetlistEdit.from_dict(record) for record in spec.edits]
+        start = time.perf_counter()
         session = self._session_for(spec.parent)
         outcome = session.apply(edits)
+        journal.record(
+            "eco_apply",
+            parent=spec.parent,
+            path=outcome.path,
+            reused=sorted(
+                stage for stage, hit in outcome.reused.items() if hit
+            ),
+            edits=len(edits),
+            duration=round(time.perf_counter() - start, 6),
+        )
         self._checkin_session(job_id, session)
         self.registry.counter("service.jobs.eco").inc()
         payload = job_payload(outcome.result.outputs())

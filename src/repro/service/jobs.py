@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..desync.tool import DesyncOptions, Drdesync, verilog_source_key
 from ..engine.cache import DeferredArtifact, library_fingerprint, stable_hash
+from ..engine.collector import collector_scope
 from ..engine.executor import FlowEngine
 from ..netlist.core import Module
 from ..netlist.verilog import parse_verilog
@@ -280,13 +281,15 @@ def job_payload(outputs: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+@collector_scope()
 def execute_job(
     spec: JobSpec, library, engine: FlowEngine
 ) -> Dict[str, Any]:
     """The job body a daemon worker runs: convert on ``engine``, which
     carries the shared cache and the job's journal, record each stage's
     latency and cache disposition in the current context's registry,
-    and return the result payload."""
+    and return the result payload.  The job runs as one unit of work
+    under :func:`~repro.engine.collector.collector_scope`."""
     tool = Drdesync(library, corner=spec.options.corner, engine=engine)
     outputs, _result = tool.convert(
         job_input(spec, library),

@@ -132,6 +132,21 @@ def test_library_variant_invalidates(lib, tmp_path):
     assert states["delays"] == "miss"
 
 
+def test_library_fingerprint_follows_added_cells():
+    """A library fingerprinted before ``Drdesync`` adds the controller
+    cells fingerprints as a fresh library given the same cells."""
+    from repro.engine import library_fingerprint
+
+    early = core9_hs()
+    stale = library_fingerprint(early)
+    Drdesync(early)
+    fresh = core9_hs()
+    Drdesync(fresh)
+    assert sorted(early.cells) == sorted(fresh.cells)
+    assert library_fingerprint(early) != stale
+    assert library_fingerprint(early) == library_fingerprint(fresh)
+
+
 def test_netlist_edit_invalidates_from_import(lib, tmp_path):
     engine = make_engine(tmp_path)
     module = pipeline3(lib)

@@ -440,8 +440,8 @@ def test_cli_gc_policy_is_scoped_to_the_run(lib, tmp_path, monkeypatch):
     start-up heap for one conversion, then leaves the thresholds, the
     enabled flag and the freeze count as it found them: after a success
     and after a flow error alike."""
-    import repro.cli
     from repro.desync.tool import Drdesync
+    from repro.engine.collector import GC_GEN0_THRESHOLD
 
     src = _write_design(lib, tmp_path)
     during = []
@@ -455,7 +455,7 @@ def test_cli_gc_policy_is_scoped_to_the_run(lib, tmp_path, monkeypatch):
     before = (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count())
     assert cli_main([str(src), "--no-cache", "--quiet"]) == 0
     assert (gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()) == before
-    assert during == [(repro.cli.GC_GEN0_THRESHOLD, True)]
+    assert during == [(GC_GEN0_THRESHOLD, True)]
     # a flow error raised inside the policy
     assert cli_main([str(tmp_path / "missing.v"), "--no-cache",
                      "--quiet"]) == 2

@@ -544,6 +544,32 @@ def test_service_eco_job_end_to_end(tmp_path):
         assert payload["verilog"] == write_module(full.module)
 
 
+def test_service_eco_job_writes_its_journal(tmp_path):
+    """An eco job's journal holds one ``eco_apply`` line, stamped with
+    the job's trace ID like a plain job's lines."""
+    from repro.engine import read_journal
+    from repro.service import JobState, ServiceDaemon
+    from repro.service.jobs import JobSpec
+
+    edit = _swap_edit_for(pipeline3(LIB))
+    with ServiceDaemon(run_dir=str(tmp_path / "svc"), workers=1) as svc:
+        parent, _ = svc.submit(JobSpec(design="pipeline3"))
+        svc.queue.wait(parent.id, timeout=120.0)
+        eco, _ = svc.submit(JobSpec(parent=parent.id, edits=[edit]))
+        svc.queue.wait(eco.id, timeout=120.0)
+        assert eco.state is JobState.DONE
+        trace_id = svc.job_status(eco.id)["trace_id"]
+        events = read_journal(svc.job_journal_path(eco.id))
+    assert [event["event"] for event in events] == ["eco_apply"]
+    (line,) = events
+    assert line["trace_id"] == trace_id
+    assert line["parent"] == parent.id
+    assert line["path"] == "splice"
+    assert line["edits"] == 1
+    assert "network" in line["reused"] and "constraints" not in line["reused"]
+    assert line["duration"] > 0
+
+
 def test_service_eco_validation(tmp_path):
     from repro.service import JobError, ServiceDaemon
     from repro.service.jobs import JobSpec

@@ -741,6 +741,44 @@ def test_cache_puts_under_the_cap_walk_once(tmp_path, monkeypatch):
     assert cache.size_bytes() <= 20_000
 
 
+def test_cache_held_at_its_cap_walks_once_over_crossing_puts(
+    tmp_path, monkeypatch
+):
+    """A store that takes a full cache past its cap evicts down to
+    ``EVICT_TO`` of it, so the next stores fit without a walk; evicting
+    only until the cache fits would walk again at every store."""
+    from repro.engine.cache import EVICT_TO
+
+    blob = os.urandom(1500)
+    cap = 40_000
+    filler = ArtifactCache(str(tmp_path / "cache"))
+    index = 0
+    while True:
+        key = f"{index:02d}{'e' * 62}"
+        filler.put(key, {"blob": blob})
+        if filler.size_bytes() > cap:
+            filler.evict(key)
+            break
+        index += 1
+    per_entry = filler.size_bytes() // index
+    assert cap - filler.size_bytes() < per_entry  # just under the cap
+
+    cache = ArtifactCache(filler.directory, max_bytes=cap)
+    walks = []
+    entries = cache._entries
+
+    def counted():
+        walks.append(1)
+        return entries()
+
+    monkeypatch.setattr(cache, "_entries", counted)
+    for extra in range(4):  # each alone would cross the cap
+        assert cache.put(f"{90 + extra:02d}{'e' * 62}", {"blob": blob})
+    assert len(walks) == 1
+    assert cache.size_bytes() <= cap * EVICT_TO + 4 * per_entry
+    assert cache._bytes == cache.size_bytes()
+
+
 def test_cache_advisory_lock_file_created(tmp_path):
     cache = ArtifactCache(str(tmp_path / "cache"))
     cache.put("cc" + "c" * 62, {"x": 1})
